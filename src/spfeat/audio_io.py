@@ -52,7 +52,7 @@ def read_wav(path) -> AudioBuffer:
         raise MissingFileError(f"cannot read {path}: {exc}") from exc
 
     if len(blob) < 12 or blob[0:4] != b"RIFF" or blob[8:12] != b"WAVE":
-        raise MalformedWavError(f"{path}: not a RIFF/WAVE file")
+        raise MalformedWavError("not a RIFF/WAVE file")
 
     fmt = None
     data = None
@@ -62,7 +62,7 @@ def read_wav(path) -> AudioBuffer:
         (size,) = struct.unpack_from("<I", blob, offset + 4)
         body_start = offset + 8
         if body_start + size > len(blob):
-            raise MalformedWavError(f"{path}: truncated {chunk_id!r} chunk")
+            raise MalformedWavError(f"truncated {chunk_id!r} chunk")
         body = blob[body_start:body_start + size]
         if chunk_id == b"fmt ":
             fmt = body
@@ -72,31 +72,31 @@ def read_wav(path) -> AudioBuffer:
         offset = body_start + size + (size & 1)
 
     if fmt is None:
-        raise MalformedWavError(f"{path}: missing fmt chunk")
+        raise MalformedWavError("missing fmt chunk")
     if data is None:
-        raise MalformedWavError(f"{path}: missing data chunk")
+        raise MalformedWavError("missing data chunk")
     if len(fmt) < 16:
-        raise MalformedWavError(f"{path}: fmt chunk too short")
+        raise MalformedWavError("fmt chunk too short")
 
     audio_format, channels, sample_rate, _, _, bits = struct.unpack_from(
         "<HHIIHH", fmt, 0
     )
     if audio_format != 1:
         raise UnsupportedFormatError(
-            f"{path}: format code {audio_format}, only PCM (1) supported"
+            f"format code {audio_format}, only PCM (1) supported"
         )
     if bits != 16:
-        raise UnsupportedFormatError(f"{path}: {bits}-bit, only 16-bit supported")
+        raise UnsupportedFormatError(f"{bits}-bit, only 16-bit supported")
     if channels not in (1, 2):
-        raise UnsupportedFormatError(f"{path}: {channels} channels, only 1 or 2")
+        raise UnsupportedFormatError(f"{channels} channels, only 1 or 2")
     if sample_rate == 0:
-        raise MalformedWavError(f"{path}: zero sample rate")
+        raise MalformedWavError("zero sample rate")
 
     block = 2 * channels
     if len(data) % block != 0:
-        raise MalformedWavError(f"{path}: data size not a multiple of the frame size")
+        raise MalformedWavError("data size not a multiple of the frame size")
 
-    raw = np.frombuffer(data, dtype="<i2").astype(np.float64)
+    raw = np.frombuffer(data, dtype="<i2")
     if channels == 2:
         raw = raw.reshape(-1, 2).mean(axis=1)
-    return AudioBuffer(samples=raw / _FULL_SCALE, sampling_frequency=sample_rate)
+    return AudioBuffer(samples=samples_to_real(raw), sampling_frequency=sample_rate)

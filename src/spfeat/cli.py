@@ -14,14 +14,16 @@ from __future__ import annotations
 import argparse
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import postprocess
 from .audio_io import read_wav
 from .errors import (
     CliError,
+    InvalidParameterError,
     InvalidValueError,
     MissingInputError,
     OutputCollisionError,
@@ -30,14 +32,38 @@ from .errors import (
     UnknownKeyError,
 )
 from .features import FeatureConfig, FeatureMatrix, extract_derivative, lmfe, mfcc, mfe
+from .preprocess import WINDOW_TYPES
 
-FEATURES = ("mfcc", "mfe", "lmfe")
-POSTPROCESS = ("none", "cmvn", "cmvn_var", "cmvnw", "cmvnw_var")
-FORMATS = ("csv", "spfe")
-WINDOWS = ("rectangular", "hamming", "hanning")
+_FEATURE_FNS = {"mfcc": mfcc, "mfe": mfe, "lmfe": lmfe}
 
 SPFE_MAGIC = b"SPFE"
 SPFE_VERSION = 1
+
+_FIELDS = {f.name: f for f in fields(FeatureConfig)}
+
+# option -> (FeatureConfig field, or the default of a CLI-only option; value
+# type or tuple of choices).  Flags, config-file keys and defaults come from
+# here.  A bool flag flips its default: --dc-elimination, --no-zero-padding.
+_OPTIONS = {
+    "feature": (None, tuple(_FEATURE_FNS)),
+    "input": ((), list),
+    "output_dir": (".", str),
+    "format": ("csv", ("csv", "spfe")),
+    "frame_length": (_FIELDS["frame_length_s"], float),
+    "frame_stride": (_FIELDS["frame_stride_s"], float),
+    "fft_length": (_FIELDS["fft_length"], int),
+    "num_filters": (_FIELDS["num_filters"], int),
+    "num_cepstral": (_FIELDS["num_cepstral"], int),
+    "low_freq": (_FIELDS["low_freq"], float),
+    "high_freq": (_FIELDS["high_freq"], float),
+    "window": (_FIELDS["window"], WINDOW_TYPES),
+    "pre_emphasis": (_FIELDS["alpha"], float),
+    "dc_elimination": (_FIELDS["dc_elimination"], bool),
+    "zero_padding": (_FIELDS["zero_padding"], bool),
+    "postprocess": ("none", ("none", "cmvn", "cmvn_var", "cmvnw", "cmvnw_var")),
+    "win_size": (postprocess.DEFAULT_WIN_SIZE, int),
+    "derivatives": (False, bool),
+}
 
 
 @dataclass
@@ -58,66 +84,23 @@ class Summary:
     files_failed: int
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "on", "yes"):
-        return True
-    if lowered in ("false", "0", "off", "no"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-def _choice(options):
-    def parse(text):
-        if text not in options:
-            raise ValueError(f"must be one of {', '.join(options)}")
+def _parse_value(kind, text: str):
+    """Parse one config-file value as the option's type or choice."""
+    text = text.strip()
+    if kind is list:
+        return text.split()
+    if kind is bool:
+        lowered = text.lower()
+        if lowered in ("true", "1", "on", "yes"):
+            return True
+        if lowered in ("false", "0", "off", "no"):
+            return False
+        raise ValueError(f"not a boolean: {text!r}")
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ValueError(f"must be one of {', '.join(kind)}")
         return text
-
-    return parse
-
-
-# dest -> value parser, used for both flags and config-file values
-_OPTION_PARSERS = {
-    "feature": _choice(FEATURES),
-    "input": str,
-    "output_dir": str,
-    "format": _choice(FORMATS),
-    "frame_length": float,
-    "frame_stride": float,
-    "fft_length": int,
-    "num_filters": int,
-    "num_cepstral": int,
-    "low_freq": float,
-    "high_freq": float,
-    "window": _choice(WINDOWS),
-    "pre_emphasis": float,
-    "dc_elimination": _parse_bool,
-    "zero_padding": _parse_bool,
-    "postprocess": _choice(POSTPROCESS),
-    "win_size": int,
-    "derivatives": _parse_bool,
-}
-
-_DEFAULTS = {
-    "feature": None,
-    "input": [],
-    "output_dir": ".",
-    "format": "csv",
-    "frame_length": 0.020,
-    "frame_stride": 0.010,
-    "fft_length": 512,
-    "num_filters": 40,
-    "num_cepstral": 13,
-    "low_freq": 0.0,
-    "high_freq": None,
-    "window": "rectangular",
-    "pre_emphasis": 0.97,
-    "dc_elimination": False,
-    "zero_padding": True,
-    "postprocess": "none",
-    "win_size": 301,
-    "derivatives": False,
-}
+    return kind(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,31 +111,20 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="extract", description="Batch speech feature extraction")
-    parser.add_argument("--feature", choices=FEATURES)
-    parser.add_argument("--input", nargs="+", default=None, metavar="PATH")
-    parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument("--format", choices=FORMATS)
-    parser.add_argument("--frame-length", dest="frame_length", type=float)
-    parser.add_argument("--frame-stride", dest="frame_stride", type=float)
-    parser.add_argument("--fft-length", dest="fft_length", type=int)
-    parser.add_argument("--num-filters", dest="num_filters", type=int)
-    parser.add_argument("--num-cepstral", dest="num_cepstral", type=int)
-    parser.add_argument("--low-freq", dest="low_freq", type=float)
-    parser.add_argument("--high-freq", dest="high_freq", type=float)
-    parser.add_argument("--window", choices=WINDOWS)
-    parser.add_argument("--pre-emphasis", dest="pre_emphasis", type=float)
-    parser.add_argument(
-        "--dc-elimination", dest="dc_elimination", action="store_const", const=True
-    )
-    parser.add_argument(
-        "--no-zero-padding", dest="zero_padding", action="store_const", const=False
-    )
-    parser.add_argument("--postprocess", choices=POSTPROCESS)
-    parser.add_argument("--win-size", dest="win_size", type=int)
-    parser.add_argument(
-        "--derivatives", dest="derivatives", action="store_const", const=True
-    )
-    parser.add_argument("--config", default=None, metavar="FILE")
+    for name, (source, kind) in _OPTIONS.items():
+        default = source.default if isinstance(source, Field) else source
+        parser.set_defaults(**{name: default})
+        flag = "--" + name.replace("_", "-")
+        if kind is bool:
+            flag = "--no-" + flag[2:] if default else flag
+            parser.add_argument(flag, dest=name, action="store_const", const=not default)
+        elif kind is list:
+            parser.add_argument(flag, dest=name, nargs="+", metavar="PATH")
+        elif isinstance(kind, tuple):
+            parser.add_argument(flag, dest=name, choices=kind)
+        else:
+            parser.add_argument(flag, dest=name, type=kind)
+    parser.add_argument("--config", metavar="FILE")
     return parser
 
 
@@ -172,67 +144,48 @@ def _read_config_file(path) -> dict:
             raise InvalidValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         dest = key.strip().replace("-", "_")
-        if dest not in _OPTION_PARSERS:
+        if dest not in _OPTIONS:
             raise UnknownKeyError(f"{path}:{lineno}: unknown key {key.strip()!r}")
         try:
-            parsed = _OPTION_PARSERS[dest](value.strip())
+            values[dest] = _parse_value(_OPTIONS[dest][1], value)
         except ValueError as exc:
             raise InvalidValueError(f"{path}:{lineno}: {key.strip()}: {exc}") from exc
-        if dest == "input":
-            parsed = value.split()
-        values[dest] = parsed
     return values
 
 
 def parse_config(argv) -> JobSpec:
-    """Resolve flags over config-file values over defaults into a JobSpec."""
-    args = _build_parser().parse_args(argv)
-
-    merged = dict(_DEFAULTS)
+    """Resolve flags over config-file values over defaults; validate once."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.config is not None:
-        merged.update(_read_config_file(args.config))
-    for dest in _DEFAULTS:
-        cli_value = getattr(args, dest)
-        if cli_value is not None:
-            merged[dest] = cli_value
+        # config-file values replace the defaults, so flags still win
+        parser.set_defaults(**_read_config_file(args.config))
+        args = parser.parse_args(argv)
 
-    if merged["feature"] is None:
+    if args.feature is None:
         raise InvalidValueError("--feature is required")
-    if not merged["input"]:
+    if not args.input:
         raise MissingInputError("no input files given")
-    if merged["postprocess"] in ("cmvnw", "cmvnw_var"):
-        if merged["win_size"] < 3 or merged["win_size"] % 2 == 0:
-            raise InvalidValueError(
-                f"--win-size must be odd and >= 3, got {merged['win_size']}"
-            )
-    if merged["num_cepstral"] > merged["num_filters"]:
-        raise InvalidValueError(
-            f"--num-cepstral ({merged['num_cepstral']}) exceeds "
-            f"--num-filters ({merged['num_filters']})"
-        )
-
     config = FeatureConfig(
-        alpha=merged["pre_emphasis"],
-        frame_length_s=merged["frame_length"],
-        frame_stride_s=merged["frame_stride"],
-        window=merged["window"],
-        fft_length=merged["fft_length"],
-        num_filters=merged["num_filters"],
-        num_cepstral=merged["num_cepstral"],
-        low_freq=merged["low_freq"],
-        high_freq=merged["high_freq"],
-        dc_elimination=merged["dc_elimination"],
-        zero_padding=merged["zero_padding"],
+        **{src.name: getattr(args, name) for name, (src, _) in _OPTIONS.items()
+           if isinstance(src, Field)}
     )
+    try:
+        if args.postprocess.startswith("cmvnw"):
+            postprocess.validate_win_size(args.win_size)
+        config.validate()
+    except InvalidParameterError as exc:
+        raise InvalidValueError(str(exc)) from exc
+
     return JobSpec(
-        inputs=[Path(p) for p in merged["input"]],
-        feature=merged["feature"],
+        inputs=[Path(p) for p in args.input],
+        feature=args.feature,
         config=config,
-        postprocess=merged["postprocess"],
-        win_size=merged["win_size"],
-        derivatives=merged["derivatives"],
-        output_dir=Path(merged["output_dir"]),
-        format=merged["format"],
+        postprocess=args.postprocess,
+        win_size=args.win_size,
+        derivatives=args.derivatives,
+        output_dir=Path(args.output_dir),
+        format=args.format,
     )
 
 
@@ -265,25 +218,17 @@ def _expand_inputs(inputs: list[Path]) -> list[Path]:
     return inputs
 
 
-_FEATURE_FNS = {"mfcc": mfcc, "mfe": mfe, "lmfe": lmfe}
-
-
 def _process_file(wav_path: Path, spec: JobSpec, out_path: Path) -> None:
     signal = read_wav(wav_path)
     features = _FEATURE_FNS[spec.feature](signal, spec.config)
     if spec.derivatives:
         features = extract_derivative(features)
     if spec.postprocess != "none":
-        from .postprocess import cmvn, cmvnw
-
-        if spec.postprocess == "cmvn":
-            features = cmvn(features)
-        elif spec.postprocess == "cmvn_var":
-            features = cmvn(features, variance_normalization=True)
-        elif spec.postprocess == "cmvnw":
-            features = cmvnw(features, win_size=spec.win_size)
-        else:
-            features = cmvnw(features, win_size=spec.win_size, variance_normalization=True)
+        # "cmvnw_var" -> postprocess.cmvnw(..., variance_normalization=True)
+        name, _, var = spec.postprocess.partition("_")
+        extra = {"win_size": spec.win_size} if name == "cmvnw" else {}
+        normalize = getattr(postprocess, name)
+        features = normalize(features, variance_normalization=bool(var), **extra)
     if spec.format == "csv":
         write_csv(features, out_path)
     else:

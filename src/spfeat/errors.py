@@ -63,7 +63,7 @@ class EmptyFeaturesError(SpfeatError):
     """Normalization requires at least one frame."""
 
 
-class InvalidWindowError(SpfeatError):
+class InvalidWindowError(InvalidParameterError):
     """Sliding normalization window must be odd and >= 3."""
 
 

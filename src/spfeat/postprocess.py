@@ -10,6 +10,8 @@ from .features import FeatureMatrix
 # Guard added to the standard deviation before dividing.
 _SIGMA_GUARD = 1e-10
 
+DEFAULT_WIN_SIZE = 301
+
 
 def _as_array(features):
     if isinstance(features, FeatureMatrix):
@@ -36,14 +38,21 @@ def cmvn(features, variance_normalization: bool = False):
     return _wrap(features, y)
 
 
-def cmvnw(features, win_size: int = 301, variance_normalization: bool = False):
+def validate_win_size(win_size: int) -> None:
+    """Raise InvalidWindowError unless the cmvnw window is odd and >= 3."""
+    if win_size < 3 or win_size % 2 == 0:
+        raise InvalidWindowError(f"win_size must be odd and >= 3, got {win_size}")
+
+
+def cmvnw(
+    features, win_size: int = DEFAULT_WIN_SIZE, variance_normalization: bool = False
+):
     """Sliding-window mean (and variance) normalization with edge replication.
 
     Statistics for frame t come from the win_size frames centered on t,
     padding past either end by repeating the edge frame.
     """
-    if win_size < 3 or win_size % 2 == 0:
-        raise InvalidWindowError(f"win_size must be odd and >= 3, got {win_size}")
+    validate_win_size(win_size)
     x = _as_array(features)
     if x.shape[0] == 0:
         raise EmptyFeaturesError("cmvnw requires at least one frame")

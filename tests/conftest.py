@@ -1,10 +1,24 @@
 """Shared helpers: independent WAV synthesis and SPFE read-back."""
 
 import io
+import os
 import struct
 import wave
+from pathlib import Path
 
 import numpy as np
+import pytest
+
+import spfeat
+
+
+@pytest.fixture(autouse=True)
+def _subprocess_imports_package_under_test(monkeypatch):
+    """Make ``python -m spfeat`` in a subprocess import the copy the tests import."""
+    src = str(Path(spfeat.__file__).resolve().parents[1])
+    monkeypatch.setenv(
+        "PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    )
 
 
 def wav_bytes(samples, sampling_frequency=16000, channels=1):

@@ -19,7 +19,7 @@ from spfeat.errors import (
     OutputCollisionError,
     UnknownKeyError,
 )
-from spfeat.features import FeatureMatrix
+from spfeat.features import FeatureConfig, FeatureMatrix
 
 from conftest import read_spfe, write_wav
 
@@ -104,6 +104,36 @@ class TestParseConfig:
     def test_bad_flag_value(self):
         with pytest.raises(InvalidValueError):
             parse_config(["--feature", "tempo", "--input", "a.wav"])
+
+    def test_default_config_is_library_default(self):
+        assert parse_config(["--feature", "mfcc", "--input", "a.wav"]).config == FeatureConfig()
+
+    def test_config_file_of_defaults_changes_nothing(self, tmp_path):
+        # every option except high_freq, whose default (Nyquist) has no literal
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(
+            "output_dir = .\nformat = csv\nframe_length = 0.020\nframe_stride = 0.010\n"
+            "fft_length = 512\nnum_filters = 40\nnum_cepstral = 13\nlow_freq = 0\n"
+            "window = rectangular\npre_emphasis = 0.97\ndc_elimination = off\n"
+            "zero_padding = true\npostprocess = none\nwin_size = 301\nderivatives = no\n"
+        )
+        base = ["--feature", "mfcc", "--input", "a.wav"]
+        assert parse_config(base + ["--config", str(cfg)]) == parse_config(base)
+
+    @pytest.mark.parametrize("bad", [
+        ["--pre-emphasis", "1.5"],
+        ["--frame-length", "5"],
+        ["--postprocess", "cmvnw", "--win-size", "4"],
+    ])
+    def test_bad_job_parameter_exits_2_once(self, fixture_dir, tmp_path, capsys, bad):
+        out_dir = tmp_path / "out"
+        code = main(["--feature", "mfcc", "--input", str(fixture_dir),
+                     "--output-dir", str(out_dir)] + bad)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "OK=" not in captured.out
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert not out_dir.exists()
 
 
 class TestWriteCsv:
@@ -191,7 +221,9 @@ class TestRunExtract:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out.strip().splitlines()[-1] == "OK=2 FAIL=1"
-        assert "gamma.wav" in captured.err
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"FAIL {truncated}: ")
+        assert line.count(str(truncated)) == 1
 
     def test_determinism(self, fixture_dir, tmp_path):
         outputs = []
