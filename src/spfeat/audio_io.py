@@ -7,12 +7,18 @@ Unknown chunks (LIST, fact, ...) are skipped by their size field.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedWavError, MissingFileError, UnsupportedFormatError
+from .errors import (
+    InvalidSignalError,
+    MalformedWavError,
+    MissingFileError,
+    UnsupportedFormatError,
+)
 
 # Fixed-point full scale for 16-bit samples.  Dividing by 32768 keeps the
 # mapping linear and exactly representable; +full-scale lands at 32767/32768.
@@ -27,8 +33,18 @@ class AudioBuffer:
     sampling_frequency: int
 
     def __post_init__(self):
-        if self.sampling_frequency <= 0:
-            raise ValueError("sampling_frequency must be positive")
+        rate = self.sampling_frequency
+        if not isinstance(rate, numbers.Integral) or isinstance(rate, bool) or rate <= 0:
+            raise InvalidSignalError(
+                f"sampling_frequency must be a positive integer, got {rate!r}"
+            )
+        samples = np.asarray(self.samples)
+        if samples.ndim != 1:
+            raise InvalidSignalError(f"samples must be 1-D, got shape {samples.shape}")
+        if samples.dtype.kind not in "iuf":
+            raise InvalidSignalError(f"samples must be real numbers, got {samples.dtype}")
+        if not np.isfinite(samples).all():
+            raise InvalidSignalError("samples must be finite, got NaN or inf")
 
     def __len__(self):
         return len(self.samples)

@@ -191,11 +191,10 @@ def parse_config(argv) -> JobSpec:
 
 def write_csv(matrix, path) -> None:
     """One line per frame, round-trip-shortest decimals, no header."""
-    data = matrix.data if isinstance(matrix, FeatureMatrix) else np.asarray(matrix)
+    data = matrix.data if isinstance(matrix, FeatureMatrix) else matrix
+    rows = np.asarray(data, dtype=np.float64).tolist()
     with open(path, "w", newline="") as fh:
-        for row in data:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def write_spfe(matrix, path) -> None:

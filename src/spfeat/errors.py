@@ -33,9 +33,13 @@ class InvalidParameterError(SpfeatError):
     """Parameter outside its documented range."""
 
 
+class InvalidSignalError(InvalidParameterError, ValueError):
+    """Samples not a 1-D array of finite reals, or rate not a positive integer."""
+
+
 # spectrum
 
-class InvalidFftLengthError(SpfeatError):
+class InvalidFftLengthError(InvalidParameterError):
     """FFT length must be a power of two and at least the frame length."""
 
 

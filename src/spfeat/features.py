@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .errors import InvalidParameterError
+from .errors import InvalidFftLengthError, InvalidParameterError
 from .mel_filterbank import build_filterbank
 from .preprocess import WINDOW_TYPES, apply_window, pre_emphasis, stack_frames
-from .spectrum import power_spectrum
+from .spectrum import is_power_of_two, power_spectrum
 
 # Floor for filterbank energies and frame energies, avoids log(0).
 ENERGY_FLOOR = float(np.finfo(np.float64).eps)
@@ -62,6 +63,14 @@ class FeatureConfig:
                 )
         if self.window not in WINDOW_TYPES:
             raise InvalidParameterError(f"unknown window {self.window!r}")
+        for name in ("fft_length", "num_filters", "num_cepstral"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+        if not is_power_of_two(self.fft_length):
+            raise InvalidFftLengthError(
+                f"fft_length {self.fft_length} is not a power of two"
+            )
         if self.num_filters < 1:
             raise InvalidParameterError("num_filters must be >= 1")
         if not 1 <= self.num_cepstral <= self.num_filters:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spfeat.audio_io import AudioBuffer, read_wav, samples_to_real
 from spfeat.errors import (
+    InvalidSignalError,
     MalformedWavError,
     MissingFileError,
     SpfeatError,
@@ -146,3 +147,20 @@ class TestReadWav:
 def test_audio_buffer_rejects_bad_rate():
     with pytest.raises(ValueError):
         AudioBuffer(samples=np.zeros(1), sampling_frequency=0)
+
+
+@pytest.mark.parametrize("samples, rate", [
+    (np.array([0.0, np.nan, 0.0]), 16000),
+    (np.array([0.0, -np.inf]), 16000),
+    (np.zeros((2, 160)), 16000),
+    (np.zeros(160), 16000.5),
+    (np.zeros(160), True),
+    (np.zeros(160), 0),
+])
+def test_audio_buffer_rejects_bad_signal(samples, rate):
+    with pytest.raises(InvalidSignalError):
+        AudioBuffer(samples=samples, sampling_frequency=rate)
+
+
+def test_audio_buffer_accepts_numpy_integer_rate():
+    assert AudioBuffer(np.zeros(4), np.int32(8000)).sampling_frequency == 8000

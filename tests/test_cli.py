@@ -124,6 +124,7 @@ class TestParseConfig:
         ["--pre-emphasis", "1.5"],
         ["--frame-length", "5"],
         ["--postprocess", "cmvnw", "--win-size", "4"],
+        ["--fft-length", "500"],
     ])
     def test_bad_job_parameter_exits_2_once(self, fixture_dir, tmp_path, capsys, bad):
         out_dir = tmp_path / "out"

@@ -104,6 +104,21 @@ class TestMfe:
         with pytest.raises(InvalidParameterError):
             mfe(silence(), FeatureConfig(num_cepstral=50, num_filters=40))
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_filters", 40.0),
+        ("num_cepstral", 13.0),
+        ("fft_length", 512.0),
+        ("num_filters", True),
+        ("fft_length", 500),
+        ("fft_length", 0),
+    ])
+    def test_config_rejects_bad_counts(self, field, value):
+        with pytest.raises(InvalidParameterError):
+            FeatureConfig(**{field: value}).validate()
+
+    def test_config_accepts_numpy_integers(self):
+        FeatureConfig(fft_length=np.int64(256), num_filters=np.int32(26)).validate()
+
 
 class TestLmfe:
     def test_silence_is_log_floor(self):

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,8 @@ from spfeat.audio_io import AudioBuffer
 from spfeat.errors import InvalidFftLengthError
 from spfeat.preprocess import stack_frames
 from spfeat.spectrum import (
+    ROW_BLOCK,
+    _plan,
     default_fft_length,
     fft_magnitude,
     log_power_spectrum,
@@ -129,6 +134,68 @@ class TestFftAgainstOracle:
             time_energy = np.sum(frame**2)
             freq_energy = np.sum(np.abs(naive_dft(frame)) ** 2) / n
             assert abs(time_energy - freq_energy) <= 1e-10 * time_energy
+
+
+# one row, both sides of each block edge, and a short last block
+ROW_COUNTS = [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3]
+PRODUCTION_SIZES = [128, 256, 512, 1024, 2048]
+
+
+def oracle_bound(frame, n):
+    return 1e-9 * max(1.0, np.abs(frame).max() * n)
+
+
+class TestFftAtProductionSizes:
+    @pytest.mark.parametrize("n", PRODUCTION_SIZES)
+    def test_against_naive_dft(self, n):
+        rng = np.random.default_rng(200 + n)
+        rows = rng.uniform(-1, 1, size=(2 * ROW_BLOCK + 3, n))
+        out = fft_magnitude(frames_of(rows), n).data
+        # the first and last row of each block; the DFT matrix is N x N
+        for r in (0, ROW_BLOCK - 1, ROW_BLOCK, 2 * ROW_BLOCK - 1, 2 * ROW_BLOCK + 2):
+            oracle = np.abs(naive_dft(rows[r]))[: n // 2 + 1]
+            assert np.abs(out[r] - oracle).max() <= oracle_bound(rows[r], n)
+
+    @pytest.mark.parametrize("num_rows", ROW_COUNTS)
+    @pytest.mark.parametrize("n", PRODUCTION_SIZES)
+    def test_against_rfft(self, n, num_rows):
+        rng = np.random.default_rng(n + num_rows)
+        for length in (n, 5 * n // 8):  # a short frame pads inside the block
+            rows = rng.uniform(-1, 1, size=(num_rows, length))
+            out = fft_magnitude(frames_of(rows), n).data
+            oracle = np.abs(np.fft.rfft(rows, n=n, axis=1))
+            assert out.shape == oracle.shape
+            assert np.abs(out - oracle).max() <= 1e-12 * max(1.0, np.abs(rows).max() * n)
+
+    @pytest.mark.parametrize("num_rows", ROW_COUNTS)
+    @pytest.mark.parametrize("n, length", [(1, 1), (2, 1), (2, 2)])
+    def test_smallest_lengths_against_rfft(self, n, length, num_rows):
+        rows = np.random.default_rng(num_rows).uniform(-1, 1, size=(num_rows, length))
+        out = fft_magnitude(frames_of(rows), n).data
+        np.testing.assert_allclose(
+            out, np.abs(np.fft.rfft(rows, n=n, axis=1)), rtol=0, atol=1e-15
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, *PRODUCTION_SIZES])
+    def test_power_is_squared_magnitude_over_n(self, n):
+        rows = np.random.default_rng(n).normal(size=(2 * ROW_BLOCK + 3, max(1, n - 3)))
+        frames = frames_of(rows)
+        expected = fft_magnitude(frames, n).data ** 2 / n
+        np.testing.assert_allclose(power_spectrum(frames, n).data, expected, rtol=1e-12)
+
+    def test_plan_is_shared_and_read_only(self):
+        plan = _plan(512)
+        assert _plan(512) is plan
+        for table in (plan.untangle, *plan.twiddles[1:]):
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    def test_import_builds_no_plan(self):
+        code = "import spfeat.spectrum as s; print(s._plan.cache_info().currsize)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "0"
 
 
 def test_default_fft_length():
