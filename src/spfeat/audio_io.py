@@ -38,13 +38,18 @@ class AudioBuffer:
             raise InvalidSignalError(
                 f"sampling_frequency must be a positive integer, got {rate!r}"
             )
-        samples = np.asarray(self.samples)
+        try:
+            samples = np.asarray(self.samples)
+        except (TypeError, ValueError) as exc:
+            raise InvalidSignalError(f"samples must be an array of reals: {exc}") from exc
         if samples.ndim != 1:
             raise InvalidSignalError(f"samples must be 1-D, got shape {samples.shape}")
         if samples.dtype.kind not in "iuf":
             raise InvalidSignalError(f"samples must be real numbers, got {samples.dtype}")
         if not np.isfinite(samples).all():
             raise InvalidSignalError("samples must be finite, got NaN or inf")
+        # frozen: store the array form, so a list or tuple works downstream
+        object.__setattr__(self, "samples", samples)
 
     def __len__(self):
         return len(self.samples)

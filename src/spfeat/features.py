@@ -67,6 +67,13 @@ class FeatureConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+        for name in ("low_freq", "high_freq"):
+            value = getattr(self, name)
+            if value is None and name == "high_freq":
+                continue  # fs/2
+            # a real scalar, also because the filterbank cache hashes the band
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
         if not is_power_of_two(self.fft_length):
             raise InvalidFftLengthError(
                 f"fft_length {self.fft_length} is not a power of two"

@@ -3,11 +3,13 @@
 Filter edges are equally spaced on the mel axis; the triangles are
 linear in Hz between those edges and evaluated at the exact FFT bin
 frequencies, so adjacent filters sum to exactly 1 between the first and
-last peaks.
+last peaks.  Banks are cached per (num_filters, fft_length, rate, band)
+and shared between callers, so their arrays are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +57,8 @@ def mel_to_hz(m):
     return _MEL_BREAK_HZ * (10.0 ** (m / _MEL_SCALE) - 1.0)
 
 
+# typed, so 40 and 40.0 are separate entries and a bad type never reuses a bank
+@functools.lru_cache(maxsize=32, typed=True)
 def build_filterbank(
     num_filters: int,
     fft_length: int,
@@ -65,7 +69,8 @@ def build_filterbank(
     """Build M triangular mel filters over the K = N/2 + 1 FFT bins.
 
     Filter i rises linearly in Hz from 0 at edge i-1 to 1 at peak i and
-    falls back to 0 at edge i+1.
+    falls back to 0 at edge i+1.  The result is cached per arguments and
+    shared; its weights and frequencies are read-only.
     """
     if num_filters < 1:
         raise InvalidBandError(f"num_filters must be >= 1, got {num_filters}")
@@ -102,6 +107,8 @@ def build_filterbank(
         falling = (right - bin_freqs) / (right - peak)
         weights[i - 1] = np.maximum(0.0, np.minimum(rising, falling))
 
+    weights.flags.writeable = False
+    hz_points.flags.writeable = False
     return FilterBank(
         weights=weights,
         center_frequencies=hz_points,

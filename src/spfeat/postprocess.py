@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import EmptyFeaturesError, InvalidWindowError
@@ -12,11 +14,15 @@ _SIGMA_GUARD = 1e-10
 
 DEFAULT_WIN_SIZE = 301
 
+# cmvnw handles this many frames per whole-block NumPy operation; 256-1024
+# were within noise on 15000x39 features with win_size 301, and 1024 was
+# fastest on 6000x13, where per-call overhead weighs more.
+FRAME_BLOCK = 1024
+
 
 def _as_array(features):
-    if isinstance(features, FeatureMatrix):
-        return features.data
-    return np.asarray(features, dtype=np.float64)
+    data = features.data if isinstance(features, FeatureMatrix) else features
+    return np.asarray(data, dtype=np.float64)
 
 
 def _wrap(features, data):
@@ -39,7 +45,9 @@ def cmvn(features, variance_normalization: bool = False):
 
 
 def validate_win_size(win_size: int) -> None:
-    """Raise InvalidWindowError unless the cmvnw window is odd and >= 3."""
+    """Raise InvalidWindowError unless the cmvnw window is an odd integer >= 3."""
+    if not isinstance(win_size, numbers.Integral) or isinstance(win_size, bool):
+        raise InvalidWindowError(f"win_size must be an integer, got {win_size!r}")
     if win_size < 3 or win_size % 2 == 0:
         raise InvalidWindowError(f"win_size must be odd and >= 3, got {win_size}")
 
@@ -51,18 +59,44 @@ def cmvnw(
 
     Statistics for frame t come from the win_size frames centered on t,
     padding past either end by repeating the edge frame.
+
+    Exactness: each window's mean and population std are summed row by
+    row, first to last, and divided by win_size, which is what
+    ``window.mean(axis=0)`` and ``window.std(axis=0)`` do on a (win_size, D)
+    slice. For D >= 2 the output is bit-identical to that per-frame form.
+    For D = 1 NumPy's own reduction switches to pairwise summation when
+    win_size > 8, so the two differ by rounding: a few ulps of the input
+    scale, divided by the window's std + 1e-10 with variance normalization.
     """
     validate_win_size(win_size)
     x = _as_array(features)
-    if x.shape[0] == 0:
+    num_frames = x.shape[0]
+    if num_frames == 0:
         raise EmptyFeaturesError("cmvnw requires at least one frame")
 
     half = win_size // 2
     padded = np.pad(x, ((half, half), (0, 0)), mode="edge")
     y = np.empty_like(x)
-    for t in range(x.shape[0]):
-        segment = padded[t : t + win_size]
-        y[t] = x[t] - segment.mean(axis=0)
+    # frame t's window is padded[t : t + win_size], so for a block of frames
+    # [s, e) the k-th row of every window is the slice padded[s + k : e + k]
+    for s in range(0, num_frames, FRAME_BLOCK):
+        e = min(s + FRAME_BLOCK, num_frames)
+        # + 0.0, not a copy: NumPy's sum starts from 0.0, so -0.0 sums to 0.0
+        mean = padded[s:e] + 0.0
+        for k in range(1, win_size):
+            mean += padded[s + k : e + k]
+        mean /= win_size
+        out = y[s:e]
+        np.subtract(x[s:e], mean, out=out)
         if variance_normalization:
-            y[t] = y[t] / (segment.std(axis=0) + _SIGMA_GUARD)
+            sq = np.square(padded[s:e] - mean)
+            tmp = np.empty_like(sq)
+            for k in range(1, win_size):
+                np.subtract(padded[s + k : e + k], mean, out=tmp)
+                np.square(tmp, out=tmp)
+                sq += tmp
+            sq /= win_size
+            np.sqrt(sq, out=sq)
+            sq += _SIGMA_GUARD
+            out /= sq
     return _wrap(features, y)

@@ -162,5 +162,28 @@ def test_audio_buffer_rejects_bad_signal(samples, rate):
         AudioBuffer(samples=samples, sampling_frequency=rate)
 
 
+@pytest.mark.parametrize("samples", [
+    ["a", "b"],
+    [[0.1, 0.2], [0.3]],
+    [0.1, None],
+    [0.1, float("nan")],
+    (1j, 2j),
+])
+def test_audio_buffer_rejects_bad_sequences(samples):
+    with pytest.raises(InvalidSignalError):
+        AudioBuffer(samples=samples, sampling_frequency=16000)
+
+
+@pytest.mark.parametrize("container", [list, tuple])
+def test_audio_buffer_accepts_sequences(container):
+    from spfeat import mfcc
+
+    values = [0.1, 0.2, 0.3] * 200
+    buf = AudioBuffer(samples=container(values), sampling_frequency=16000)
+    assert isinstance(buf.samples, np.ndarray)
+    expected = mfcc(AudioBuffer(np.array(values), 16000))
+    np.testing.assert_array_equal(mfcc(buf).data, expected.data)
+
+
 def test_audio_buffer_accepts_numpy_integer_rate():
     assert AudioBuffer(np.zeros(4), np.int32(8000)).sampling_frequency == 8000

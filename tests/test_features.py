@@ -111,6 +111,9 @@ class TestMfe:
         ("num_filters", True),
         ("fft_length", 500),
         ("fft_length", 0),
+        ("low_freq", np.array(100.0)),
+        ("low_freq", True),
+        ("high_freq", "8000"),
     ])
     def test_config_rejects_bad_counts(self, field, value):
         with pytest.raises(InvalidParameterError):
@@ -118,6 +121,27 @@ class TestMfe:
 
     def test_config_accepts_numpy_integers(self):
         FeatureConfig(fft_length=np.int64(256), num_filters=np.int32(26)).validate()
+
+    def test_filterbank_looked_up_every_call_and_shared(self, monkeypatch):
+        import spfeat.features as features
+
+        banks = []
+
+        def counting(*args, **kwargs):
+            banks.append(build_filterbank(*args, **kwargs))
+            return banks[-1]
+
+        mfe(sine())  # warm the cache
+        monkeypatch.setattr(features, "build_filterbank", counting)
+        first = mfe(sine())
+        second = mfe(sine())
+        assert len(banks) == 2
+        assert banks[0] is banks[1]
+        assert not banks[0].weights.flags.writeable
+        assert not banks[0].center_frequencies.flags.writeable
+        with pytest.raises(ValueError):
+            banks[0].weights[0, 0] = 1.0
+        np.testing.assert_array_equal(first.data, second.data)
 
 
 class TestLmfe:

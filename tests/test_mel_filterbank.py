@@ -104,3 +104,9 @@ class TestBuildFilterbank:
         # 40 filters over 64-point FFT: low-band edges closer than one bin
         with pytest.raises(DegenerateFilterError):
             build_filterbank(40, 64, 16000, 0, 8000)
+
+    def test_errors_are_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(DegenerateFilterError):
+                build_filterbank(40, 64, 16000, 0, 8000)
+

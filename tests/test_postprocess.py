@@ -6,13 +6,36 @@ from hypothesis.extra.numpy import arrays
 
 from spfeat.errors import EmptyFeaturesError, InvalidWindowError
 from spfeat.features import FeatureMatrix
-from spfeat.postprocess import cmvn, cmvnw
+from spfeat.postprocess import FRAME_BLOCK, cmvn, cmvnw
 
 matrices = arrays(
     np.float64,
     st.tuples(st.integers(2, 30), st.integers(1, 8)),
     elements=st.floats(-100, 100),
 )
+
+
+def cmvnw_loop(x, win_size, variance_normalization=False):
+    """Per-frame oracle: each window's statistics from NumPy's mean/std."""
+    half = win_size // 2
+    padded = np.pad(x, ((half, half), (0, 0)), mode="edge")
+    y = np.empty_like(x)
+    for t in range(x.shape[0]):
+        segment = padded[t : t + win_size]
+        y[t] = x[t] - segment.mean(axis=0)
+        if variance_normalization:
+            y[t] = y[t] / (segment.std(axis=0) + 1e-10)
+    return y
+
+
+def _features(num_frames, dims, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(loc=rng.uniform(-20, 20), scale=rng.uniform(0.5, 10),
+                      size=(num_frames, dims))
+
+
+B = FRAME_BLOCK
+FRAME_COUNTS = [1, 2, B - 1, B, B + 1, 2 * B + 3, 1100]
 
 
 class TestCmvn:
@@ -92,7 +115,7 @@ class TestCmvnw:
         out = cmvnw(np.full((7, 2), 9.0), win_size=3)
         np.testing.assert_array_equal(out, 0.0)
 
-    @pytest.mark.parametrize("bad", [2, 4, 1, 0, -3])
+    @pytest.mark.parametrize("bad", [2, 4, 1, 0, -3, 3.0, 5.5, "5", True, None])
     def test_invalid_window(self, bad):
         with pytest.raises(InvalidWindowError):
             cmvnw(np.ones((5, 1)), win_size=bad)
@@ -120,3 +143,48 @@ class TestCmvnw:
         out = cmvnw(feats, win_size=3)
         assert isinstance(out, FeatureMatrix)
         assert out.kind == "lmfe"
+
+    def test_integer_feature_matrix(self):
+        data = np.array([[0, 1], [3, 4], [6, 8]])
+        out = cmvnw(FeatureMatrix(data=data, kind="mfe"), win_size=3)
+        np.testing.assert_array_equal(out.data, cmvnw(data.astype(float), win_size=3))
+
+    def test_numpy_integer_window(self):
+        x = _features(20, 3, 4)
+        np.testing.assert_array_equal(cmvnw(x, win_size=np.int64(5)), cmvnw(x, win_size=5))
+
+    @pytest.mark.parametrize("variance", [False, True])
+    @pytest.mark.parametrize("dims", [2, 13, 39])
+    @pytest.mark.parametrize("win", [3, 9, 301])
+    @pytest.mark.parametrize("frames", FRAME_COUNTS)
+    def test_bit_identical_to_loop(self, frames, win, dims, variance):
+        # covers T < win (edge replication fills whole windows) and block edges
+        x = _features(frames, dims, seed=frames * 1000 + win + dims)
+        out = cmvnw(x, win_size=win, variance_normalization=variance)
+        expected = cmvnw_loop(x, win, variance)
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("variance", [False, True])
+    @pytest.mark.parametrize("win", [3, 9, 301])
+    @pytest.mark.parametrize("frames", FRAME_COUNTS)
+    def test_single_column_close_to_loop(self, frames, win, variance):
+        # with one column NumPy's reduction sums pairwise, so only rounding
+        # may differ.  The output is a difference, so its rounding follows
+        # the input scale, and with variance it is divided by std + 1e-10:
+        # a constant window (T = 1) turns that rounding into large noise.
+        x = _features(frames, 1, seed=frames + win)
+        out = cmvnw(x, win_size=win, variance_normalization=variance)
+        expected = cmvnw_loop(x, win, variance)
+        atol = np.full_like(x, 1e-12 * np.abs(x).max())
+        if variance:
+            padded = np.pad(x, ((win // 2, win // 2), (0, 0)), mode="edge")
+            windows = np.lib.stride_tricks.sliding_window_view(padded, win, axis=0)
+            atol /= windows.std(axis=-1) + 1e-10
+        assert np.all(np.abs(out - expected) <= 1e-12 * np.abs(expected) + atol)
+
+    def test_negative_zero_matches_loop(self):
+        x = np.full((6, 3), -0.0)
+        x[:, 2] = 1.5
+        for variance in (False, True):
+            out = cmvnw(x, win_size=3, variance_normalization=variance)
+            assert out.tobytes() == cmvnw_loop(x, 3, variance).tobytes()
