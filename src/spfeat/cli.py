@@ -174,6 +174,8 @@ def parse_config(argv) -> JobSpec:
         if args.postprocess.startswith("cmvnw"):
             postprocess.validate_win_size(args.win_size)
         config.validate()
+        if args.feature == "mfcc":
+            config.validate_dc_elimination()
     except InvalidParameterError as exc:
         raise InvalidValueError(str(exc)) from exc
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -15,6 +16,11 @@ from .spectrum import is_power_of_two, power_spectrum
 
 # Floor for filterbank energies and frame energies, avoids log(0).
 ENERGY_FLOOR = float(np.finfo(np.float64).eps)
+
+# Frames per block in mfe, so the windowed frames and the power spectrum
+# exist one block at a time.  A multiple of spectrum.ROW_BLOCK, so the FFT
+# splits every full block into whole row blocks.
+MFE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -85,14 +91,24 @@ class FeatureConfig:
                 f"num_cepstral must be in [1, num_filters], got {self.num_cepstral}"
             )
 
+    def validate_dc_elimination(self):
+        """The rule only mfcc applies: dropping coefficient 0 needs one more filter."""
+        if self.dc_elimination and self.num_cepstral >= self.num_filters:
+            raise InvalidParameterError(
+                "dc_elimination needs num_cepstral <= num_filters - 1"
+            )
 
+
+@functools.lru_cache(maxsize=32)
 def _dct_matrix(size: int) -> np.ndarray:
+    """The orthonormal DCT-II basis, cached per size and shared read-only."""
     # B[k, n] = s_k * cos(pi * k * (2n + 1) / (2 * size)), orthonormal scaling
     k = np.arange(size)[:, None]
     n = np.arange(size)[None, :]
     basis = np.cos(np.pi * k * (2 * n + 1) / (2 * size))
     basis[0] *= np.sqrt(1.0 / size)
     basis[1:] *= np.sqrt(2.0 / size)
+    basis.flags.writeable = False
     return basis
 
 
@@ -103,26 +119,44 @@ def dct_ii_ortho(row) -> np.ndarray:
 
 
 def mfe(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
-    """Mel filterbank energies: triangular-filter dot products of the power spectrum."""
+    """Mel filterbank energies: triangular-filter dot products of the power spectrum.
+
+    Frames go through window, power spectrum and filterbank MFE_BLOCK at a
+    time, so no T x L or T x (N/2 + 1) array is built; the result is the
+    same as running each stage over all frames at once.
+    """
     config.validate()
-    emphasized = pre_emphasis(signal, config.alpha)
     frames = stack_frames(
-        emphasized,
+        pre_emphasis(signal, config.alpha),
         frame_length_s=config.frame_length_s,
         frame_stride_s=config.frame_stride_s,
         zero_padding=config.zero_padding,
     )
-    frames = apply_window(frames, config.window)
-    power = power_spectrum(frames, config.fft_length)
-    bank = build_filterbank(
-        config.num_filters,
-        config.fft_length,
-        signal.sampling_frequency,
-        low_freq=config.low_freq,
-        high_freq=config.high_freq,
-    )
-    energies = np.maximum(power.data @ bank.weights.T, ENERGY_FLOOR)
-    frame_energies = np.maximum(power.data.sum(axis=1), ENERGY_FLOOR)
+    num_frames = frames.num_frames
+    energies = np.empty((num_frames, config.num_filters))
+    frame_energies = np.empty(num_frames)
+    for start in range(0, num_frames, MFE_BLOCK):
+        block = replace(frames, data=frames.data[start:start + MFE_BLOCK])
+        power = power_spectrum(apply_window(block, config.window), config.fft_length).data
+        if start == 0:
+            # after the first spectrum, so an FFT length error still wins over a band error
+            bank = build_filterbank(
+                config.num_filters,
+                config.fft_length,
+                signal.sampling_frequency,
+                low_freq=config.low_freq,
+                high_freq=config.high_freq,
+            )
+        count = len(power)
+        frame_energies[start:start + count] = power.sum(axis=1)
+        if count < MFE_BLOCK < num_frames:
+            # OpenBLAS takes another path for short matrices; a zero-filled
+            # full-height block keeps these rows bit-identical to the others
+            power = np.concatenate([power, np.zeros((MFE_BLOCK - count, power.shape[1]))])
+        energies[start:start + count] = (power @ bank.weights.T)[:count]
+        del power  # freed before the next block's window and spectrum exist
+    np.maximum(energies, ENERGY_FLOOR, out=energies)
+    np.maximum(frame_energies, ENERGY_FLOOR, out=frame_energies)
     return FeatureMatrix(data=energies, kind="mfe", frame_energies=frame_energies)
 
 
@@ -142,14 +176,11 @@ def mfcc(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> Featur
     With dc_elimination, coefficient 0 is dropped and 1..C kept; the log
     frame energy stays available separately via frame_energies.
     """
-    if config.dc_elimination and config.num_cepstral >= config.num_filters:
-        raise InvalidParameterError(
-            "dc_elimination needs num_cepstral <= num_filters - 1"
-        )
+    config.validate_dc_elimination()
     log_energies = lmfe(signal, config)
-    # per-row matvec keeps this bit-identical to dct_ii_ortho on each row
+    # one matvec per row, stacked: bit-identical to dct_ii_ortho on each row
     basis = _dct_matrix(config.num_filters)
-    cepstra = np.array([basis @ row for row in log_energies.data])
+    cepstra = np.matmul(basis, log_energies.data[:, :, None])[:, :, 0]
     if config.dc_elimination:
         kept = cepstra[:, 1 : config.num_cepstral + 1]
     else:

@@ -1,7 +1,9 @@
 """Signal conditioning before spectral analysis.
 
 Pre-emphasis, frame stacking, and windowing.  All operations are pure:
-they return new arrays and never mutate their inputs.
+they never mutate their inputs.  Frames are a read-only strided view of
+the signal (of a zero-padded copy when the last frame is partial), so
+overlapping frames never duplicate samples.
 """
 
 from __future__ import annotations
@@ -38,8 +40,11 @@ def pre_emphasis(signal: AudioBuffer, alpha: float = 0.97) -> AudioBuffer:
     x = signal.samples
     if len(x) == 0:
         raise EmptySignalError("pre_emphasis requires a non-empty signal")
-    y = x.astype(np.float64, copy=True)
-    y[1:] -= alpha * x[:-1]
+    # written straight into y, so no full-length alpha * x[:-1] temporary
+    y = np.empty(len(x))
+    y[0] = x[0]
+    np.multiply(x[:-1], alpha, out=y[1:])
+    np.subtract(x[1:], y[1:], out=y[1:])
     return AudioBuffer(samples=y, sampling_frequency=signal.sampling_frequency)
 
 
@@ -56,6 +61,7 @@ def stack_frames(
 ) -> FrameMatrix:
     """Cut the signal into overlapping frames of length L with hop S.
 
+    The frames are a read-only view: row t is samples t*S .. t*S + L - 1.
     Without padding, trailing samples that do not fill a frame are dropped
     and a signal shorter than one frame is an error.  With padding the
     signal is extended with zeros so every sample lands in some frame.
@@ -90,9 +96,8 @@ def stack_frames(
         num_frames = (n - length) // stride + 1
 
     frames = np.lib.stride_tricks.sliding_window_view(x, length)[::stride]
-    frames = frames[:num_frames].copy()
     return FrameMatrix(
-        data=frames,
+        data=frames[:num_frames],
         sampling_frequency=fs,
         frame_length=length,
         frame_stride=stride,

@@ -64,14 +64,6 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def default_fft_length(frame_length: int) -> int:
-    """Smallest power of two that holds a frame."""
-    n = 1
-    while n < frame_length:
-        n *= 2
-    return n
-
-
 @dataclass(frozen=True)
 class _Plan:
     half: int  # complex points per frame; N = 1 is computed as N = 2

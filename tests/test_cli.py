@@ -125,6 +125,7 @@ class TestParseConfig:
         ["--frame-length", "5"],
         ["--postprocess", "cmvnw", "--win-size", "4"],
         ["--fft-length", "500"],
+        ["--dc-elimination", "--num-cepstral", "40"],
     ])
     def test_bad_job_parameter_exits_2_once(self, fixture_dir, tmp_path, capsys, bad):
         out_dir = tmp_path / "out"
@@ -135,6 +136,15 @@ class TestParseConfig:
         assert "OK=" not in captured.out
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("feature", ["mfe", "lmfe"])
+    def test_dc_elimination_rule_is_mfcc_only(self, fixture_dir, tmp_path, capsys, feature):
+        # mfe and lmfe have no cepstra, so the flag changes nothing there
+        code = main(["--feature", feature, "--input", str(fixture_dir),
+                     "--output-dir", str(tmp_path / "out"),
+                     "--dc-elimination", "--num-cepstral", "40"])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "OK=2 FAIL=0"
 
 
 class TestWriteCsv:

@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import spfeat.features as features
 from spfeat.audio_io import AudioBuffer
 from spfeat.errors import InvalidParameterError
 from spfeat.features import (
     ENERGY_FLOOR,
+    MFE_BLOCK,
     FeatureConfig,
     FeatureMatrix,
+    _dct_matrix,
     dct_ii_ortho,
     extract_derivative,
     lmfe,
@@ -16,6 +20,8 @@ from spfeat.features import (
     mfe,
 )
 from spfeat.mel_filterbank import build_filterbank
+from spfeat.preprocess import apply_window, pre_emphasis, stack_frames
+from spfeat.spectrum import ROW_BLOCK, power_spectrum
 
 
 def dct_oracle(row):
@@ -29,6 +35,43 @@ def dct_oracle(row):
             acc += row[n] * math.cos(math.pi * k * (2 * n + 1) / (2 * m))
         out.append(scale * acc)
     return out
+
+
+def mfe_unblocked(signal, config=FeatureConfig()):
+    """mfe as one pass over all frames: the T x L windowed frames and the
+    whole T x (N/2 + 1) power spectrum, then one filterbank matmul."""
+    config.validate()
+    emphasized = pre_emphasis(signal, config.alpha)
+    frames = stack_frames(
+        emphasized,
+        frame_length_s=config.frame_length_s,
+        frame_stride_s=config.frame_stride_s,
+        zero_padding=config.zero_padding,
+    )
+    frames = apply_window(frames, config.window)
+    power = power_spectrum(frames, config.fft_length)
+    bank = build_filterbank(
+        config.num_filters,
+        config.fft_length,
+        signal.sampling_frequency,
+        low_freq=config.low_freq,
+        high_freq=config.high_freq,
+    )
+    energies = np.maximum(power.data @ bank.weights.T, ENERGY_FLOOR)
+    frame_energies = np.maximum(power.data.sum(axis=1), ENERGY_FLOOR)
+    return FeatureMatrix(data=energies, kind="mfe", frame_energies=frame_energies)
+
+
+def noise_frames(num_frames, fs=16000, zero_padding=True, seed=0):
+    """Noise that cuts into exactly num_frames 20 ms / 10 ms frames; with
+    padding the last frame is partial, so the zero fill is exercised."""
+    length, stride = fs // 50, fs // 100
+    if zero_padding:
+        n = length // 2 if num_frames == 1 else length + (num_frames - 2) * stride + stride // 2
+    else:
+        n = length + (num_frames - 1) * stride + stride // 2
+    samples = np.random.default_rng(seed).uniform(-1, 1, n)
+    return AudioBuffer(samples=samples, sampling_frequency=fs)
 
 
 def sine(freq_hz=1000.0, fs=16000, seconds=1.0, amplitude=0.5):
@@ -144,6 +187,76 @@ class TestMfe:
         np.testing.assert_array_equal(first.data, second.data)
 
 
+BLOCK_EDGES = [1, 63, 64, MFE_BLOCK - 1, MFE_BLOCK, MFE_BLOCK + 1, 2 * MFE_BLOCK + 3]
+
+
+class TestStreamedMfe:
+    """mfe runs in blocks of MFE_BLOCK frames; its bytes match one unblocked pass."""
+
+    def assert_same_bytes(self, signal, config):
+        out, expected = mfe(signal, config), mfe_unblocked(signal, config)
+        assert out.data.shape == expected.data.shape
+        assert out.data.tobytes() == expected.data.tobytes()
+        assert out.frame_energies.tobytes() == expected.frame_energies.tobytes()
+
+    def test_block_is_whole_row_blocks(self):
+        assert MFE_BLOCK % ROW_BLOCK == 0
+
+    @pytest.mark.parametrize("num_frames", BLOCK_EDGES)
+    @pytest.mark.parametrize("window", ["rectangular", "hamming", "hanning"])
+    @pytest.mark.parametrize("zero_padding", [True, False])
+    def test_bitwise_at_block_edges(self, num_frames, window, zero_padding):
+        signal = noise_frames(num_frames, zero_padding=zero_padding, seed=num_frames)
+        config = FeatureConfig(window=window, zero_padding=zero_padding)
+        assert stack_frames(signal, zero_padding=zero_padding).num_frames == num_frames
+        self.assert_same_bytes(signal, config)
+
+    @pytest.mark.parametrize("num_frames", BLOCK_EDGES)
+    @pytest.mark.parametrize("fs, fft_length", [(8000, 256), (16000, 1024)])
+    def test_bitwise_at_other_fft_lengths(self, num_frames, fs, fft_length):
+        signal = noise_frames(num_frames, fs=fs, seed=fft_length + num_frames)
+        self.assert_same_bytes(signal, FeatureConfig(window="hamming", fft_length=fft_length))
+
+    @pytest.mark.parametrize("zero_padding", [True, False])
+    def test_bitwise_on_150_s(self, zero_padding):
+        signal = noise_frames(15000, zero_padding=zero_padding, seed=150)
+        self.assert_same_bytes(signal, FeatureConfig(window="hamming", zero_padding=zero_padding))
+
+    @pytest.mark.parametrize("num_frames", [1, MFE_BLOCK, MFE_BLOCK + 1, 2 * MFE_BLOCK + 3])
+    def test_stages_called_once_per_block(self, monkeypatch, num_frames):
+        # each block goes through the module-level names, so spans wrapped
+        # around them still see every frame
+        calls = {"apply_window": [], "power_spectrum": []}
+
+        def counting(name, fn):
+            def wrapper(frames, *args):
+                calls[name].append(frames.num_frames)
+                return fn(frames, *args)
+            return wrapper
+
+        monkeypatch.setattr(features, "apply_window", counting("apply_window", apply_window))
+        monkeypatch.setattr(features, "power_spectrum", counting("power_spectrum", power_spectrum))
+        mfe(noise_frames(num_frames))
+        blocks = -(-num_frames // MFE_BLOCK)
+        for name, rows in calls.items():
+            assert len(rows) == blocks, name
+            assert sum(rows) == num_frames, name
+
+    @pytest.mark.parametrize("extra", [0, 77])
+    def test_peak_memory_about_twice_the_signal(self, extra):
+        # 60 s at 16 kHz; with 77 more samples the last frame needs zero padding
+        signal = AudioBuffer(np.random.default_rng(6).uniform(-1, 1, 960000 + extra), 16000)
+        mfe(signal)  # plans and filterbank cached outside the measurement
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mfe(signal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 2.5 * signal.samples.nbytes
+
+
 class TestLmfe:
     def test_silence_is_log_floor(self):
         out = lmfe(silence())
@@ -201,6 +314,36 @@ class TestMfcc:
     def test_cepstral_order_exceeds_filters(self):
         with pytest.raises(InvalidParameterError):
             mfcc(sine(), FeatureConfig(num_cepstral=41))
+
+    @pytest.mark.parametrize("num_frames", [1, 2, 1024])
+    @pytest.mark.parametrize("num_filters, dc_elimination", [
+        (1, False), (13, False), (40, False), (64, False),
+        (13, True), (40, True), (64, True),  # dc_elimination needs two filters
+    ])
+    def test_rows_bitwise_equal_to_dct_ii_ortho(self, num_frames, num_filters, dc_elimination):
+        # 64 filters need bins finer than a 512-point FFT gives at 16 kHz
+        config = FeatureConfig(
+            window="hamming",
+            fft_length=1024 if num_filters == 64 else 512,
+            num_filters=num_filters,
+            num_cepstral=min(13, num_filters - dc_elimination),
+            dc_elimination=dc_elimination,
+        )
+        signal = noise_frames(num_frames, seed=num_filters)
+        log_energies = lmfe(signal, config)
+        first = int(dc_elimination)
+        expected = np.array([dct_ii_ortho(row) for row in log_energies.data])
+        expected = expected[:, first:first + config.num_cepstral]
+        out = mfcc(signal, config)
+        assert out.data.shape == (num_frames, config.num_cepstral)
+        assert out.data.tobytes() == expected.tobytes()
+
+    def test_dct_basis_cached_and_read_only(self):
+        basis = _dct_matrix(13)
+        assert _dct_matrix(13) is basis
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
 
 
 def test_constant_energy_rows_carry_only_dc():

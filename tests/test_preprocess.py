@@ -42,6 +42,18 @@ class TestPreEmphasis:
         pre_emphasis(b, 0.9)
         assert b.samples.tolist() == [1, 2, 3]
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int16])
+    def test_bitwise_equal_to_temporary_form(self, dtype):
+        # the form with a full-length alpha * x[:-1] temporary, as the oracle
+        rng = np.random.default_rng(4)
+        scale = 30000 if np.dtype(dtype).kind == "i" else 1
+        x = (rng.uniform(-1, 1, 5000) * scale).astype(dtype)
+        expected = x.astype(np.float64)
+        expected[1:] -= 0.97 * x[:-1]
+        out = pre_emphasis(AudioBuffer(x, 16000), 0.97).samples
+        assert out.dtype == np.float64
+        assert out.tobytes() == expected.tobytes()
+
 
 def brute_force_frames(x, length, stride, zero_padding):
     """Oracle: enumerate frame start indices and slice directly."""
@@ -112,6 +124,15 @@ class TestStackFrames:
             buf(x, fs=1000), length / 1000, stride / 1000, zero_padding
         )
         assert fm.data.tolist() == brute_force_frames(x, length, stride, zero_padding)
+
+    @pytest.mark.parametrize("zero_padding", [False, True])
+    def test_read_only_view_equal_to_slices(self, zero_padding):
+        x = np.random.default_rng(5).uniform(-1, 1, 1077)
+        fm = stack_frames(buf(x, 16000), 0.020, 0.010, zero_padding)
+        assert not fm.data.flags.writeable
+        with pytest.raises(ValueError):
+            fm.data[0, 0] = 1.0
+        assert fm.data.tolist() == brute_force_frames(x, 320, 160, zero_padding)
 
     def test_stride_equals_length_partitions(self):
         x = np.arange(17, dtype=float)

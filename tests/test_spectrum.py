@@ -10,7 +10,6 @@ from spfeat.preprocess import stack_frames
 from spfeat.spectrum import (
     ROW_BLOCK,
     _plan,
-    default_fft_length,
     fft_magnitude,
     log_power_spectrum,
     naive_dft,
@@ -196,9 +195,3 @@ class TestFftAtProductionSizes:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert result.stdout.strip() == "0"
-
-
-def test_default_fft_length():
-    assert default_fft_length(320) == 512
-    assert default_fft_length(256) == 256
-    assert default_fft_length(1) == 1
