@@ -116,6 +116,8 @@ def read_wav(path) -> AudioBuffer:
     block = 2 * channels
     if len(data) % block != 0:
         raise MalformedWavError("data size not a multiple of the frame size")
+    if not data:
+        raise MalformedWavError("empty data chunk")
 
     raw = np.frombuffer(data, dtype="<i2")
     if channels == 2:

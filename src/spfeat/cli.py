@@ -12,14 +12,17 @@ is the machine-readable summary ``OK=<n> FAIL=<m>``.
 from __future__ import annotations
 
 import argparse
+import os
 import struct
 import sys
+from contextlib import contextmanager
 from dataclasses import Field, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import postprocess
+from ._csvfmt import csv_chunks
 from .audio_io import read_wav
 from .errors import (
     CliError,
@@ -191,12 +194,31 @@ def parse_config(argv) -> JobSpec:
     )
 
 
+@contextmanager
+def _replacing(path):
+    """A binary file that becomes ``path`` only once it is complete.
+
+    It is written under a hidden name in the same directory and renamed
+    onto ``path`` when the block exits normally.  On any exception it is
+    removed and ``path`` is left as it was: missing, or an earlier output.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "xb")  # not mkstemp: keep the usual mode, not 0600
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(matrix, path) -> None:
-    """One line per frame, round-trip-shortest decimals, no header."""
+    """One line per frame, each value exactly as Python's repr prints it, no header."""
     data = matrix.data if isinstance(matrix, FeatureMatrix) else matrix
-    rows = np.asarray(data, dtype=np.float64).tolist()
-    with open(path, "w", newline="") as fh:
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    with _replacing(path) as fh:
+        fh.writelines(csv_chunks(data))
 
 
 def write_spfe(matrix, path) -> None:
@@ -205,7 +227,7 @@ def write_spfe(matrix, path) -> None:
     data = matrix.data if isinstance(matrix, FeatureMatrix) else np.asarray(matrix)
     rows, cols = data.shape
     header = struct.pack("<4sHHII", SPFE_MAGIC, SPFE_VERSION, 0, rows, cols)
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
 

@@ -181,10 +181,9 @@ def mfcc(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> Featur
     # one matvec per row, stacked: bit-identical to dct_ii_ortho on each row
     basis = _dct_matrix(config.num_filters)
     cepstra = np.matmul(basis, log_energies.data[:, :, None])[:, :, 0]
-    if config.dc_elimination:
-        kept = cepstra[:, 1 : config.num_cepstral + 1]
-    else:
-        kept = cepstra[:, : config.num_cepstral]
+    first = 1 if config.dc_elimination else 0
+    # a C-ordered copy of the kept columns, so the T x num_filters cepstra can go
+    kept = cepstra[:, first : first + config.num_cepstral].copy()
     return FeatureMatrix(
         data=kept, kind="mfcc", frame_energies=log_energies.frame_energies
     )

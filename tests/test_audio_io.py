@@ -70,6 +70,12 @@ class TestReadWav:
         with pytest.raises(MalformedWavError):
             read_wav(tmp_path / "cut.wav")
 
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_empty_data_chunk(self, tmp_path, channels):
+        path = write_wav(tmp_path / "empty.wav", [], 16000, channels)
+        with pytest.raises(MalformedWavError, match="empty data chunk"):
+            read_wav(path)
+
     def test_missing_data_chunk(self, tmp_path):
         fmt = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
         body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
@@ -114,7 +120,7 @@ class TestReadWav:
         assert buf.samples.tolist() == [10 / 32768, 20 / 32768, 30 / 32768]
 
     @given(
-        raw=st.lists(st.integers(-32768, 32767), max_size=200),
+        raw=st.lists(st.integers(-32768, 32767), min_size=1, max_size=200),
         fs=st.sampled_from([8000, 16000, 44100]),
         channels=st.sampled_from([1, 2]),
     )

@@ -1,10 +1,17 @@
+import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spfeat.cli as cli
+from spfeat._csvfmt import BLOCK_VALUES
 from spfeat.cli import (
     JobSpec,
     main,
@@ -166,6 +173,214 @@ class TestWriteCsv:
         assert float(text[1]) == 1 / 3
 
 
+def write_csv_repr(matrix, path) -> None:
+    """The oracle: the earlier writer, Python's repr per value."""
+    data = matrix.data if isinstance(matrix, FeatureMatrix) else matrix
+    rows = np.asarray(data, dtype=np.float64).tolist()
+    with open(path, "w", newline="") as fh:
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def assert_csv_matches_repr(tmp_path, matrix):
+    write_csv(matrix, tmp_path / "got.csv")
+    write_csv_repr(matrix, tmp_path / "want.csv")
+    got, want = (tmp_path / "got.csv").read_bytes(), (tmp_path / "want.csv").read_bytes()
+    if got != want:  # name the first differing value
+        for got_line, want_line in zip(got.splitlines(), want.splitlines()):
+            for g, w in zip(got_line.split(b","), want_line.split(b",")):
+                assert g == w
+    assert got == want
+
+
+def _sign_flipped(rng, values):
+    signs = rng.integers(0, 2, values.size).astype(np.uint64) << np.uint64(63)
+    return (values.view(np.uint64) ^ signs).view(np.float64)
+
+
+def _boundary_values():
+    """Powers of ten and two with their neighbours, and the float extremes."""
+    values = [5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+              1.7976931348623157e308, np.nan, np.inf, -np.inf, 0.0, -0.0]
+    for e in range(-323, 309):
+        values.append(10.0**e)
+    for e in range(-1074, 1024):
+        values.append(2.0**e)
+    # d * 10**n whose 54-bit binary form is odd sits exactly on the edge of
+    # the rounding interval of its two neighbours: 1e23, 5e22, 7e22, ...
+    for n in range(19, 24):
+        for d in range(1, 200):
+            values.append(float(d * 10**n))
+    v = np.array(values)
+    with np.errstate(over="ignore"):  # past the largest float
+        return np.concatenate([v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)])
+
+
+def _dyadic_values():
+    """odd / 2**j: many are exact decimal ties at the 16th or 17th digit.
+
+    With j in 21..25 some have exactly 18 digits and a 10**k that is not a
+    double (k > 22), so the tie is seen through rounding error.
+    """
+    odd = np.arange(1, 20001, 2, dtype=np.float64)
+    return np.concatenate([odd / 2.0**j for j in (10, 20, 21, 22, 23, 24, 25, 30, 40, 50, 60, 70)])
+
+
+def _as_rows(values, cols=39):
+    values = np.resize(values, -(-values.size // cols) * cols)
+    return values.reshape(-1, cols)
+
+
+class TestCsvMatchesRepr:
+    """write_csv's bytes equal the repr-per-value oracle on every input."""
+
+    def test_random_bit_patterns(self, tmp_path):
+        rng = np.random.default_rng(11)
+        bits = rng.integers(0, 2**63, 100_000, dtype=np.int64).view(np.float64)
+        assert_csv_matches_repr(tmp_path, _as_rows(_sign_flipped(rng, bits)))
+
+    def test_scaled_normals(self, tmp_path):
+        rng = np.random.default_rng(12)
+        values = rng.normal(size=100_000) * 10.0 ** rng.uniform(-6, 16, 100_000)
+        assert_csv_matches_repr(tmp_path, _as_rows(values))
+
+    def test_rounded_decimals(self, tmp_path):
+        rng = np.random.default_rng(13)
+        scale = 10.0 ** rng.integers(0, 9, 50_000)
+        assert_csv_matches_repr(tmp_path, _as_rows(np.round(rng.normal(size=50_000) * 1e3 * scale) / scale))
+
+    def test_large_integers(self, tmp_path):
+        rng = np.random.default_rng(14)
+        values = rng.integers(-(2**62), 2**62, 50_000) >> rng.integers(0, 62, 50_000)
+        assert_csv_matches_repr(tmp_path, _as_rows(values.astype(np.float64)))
+
+    def test_float32_derived(self, tmp_path):
+        rng = np.random.default_rng(15)
+        values = (rng.normal(size=50_000) * 10.0 ** rng.integers(-8, 8, 50_000)).astype(np.float32)
+        assert_csv_matches_repr(tmp_path, _as_rows(values.astype(np.float64)))
+
+    def test_boundaries(self, tmp_path):
+        values = _boundary_values()
+        assert_csv_matches_repr(tmp_path, _as_rows(np.concatenate([values, -values])))
+
+    def test_decimal_ties(self, tmp_path):
+        values = _dyadic_values()
+        assert_csv_matches_repr(tmp_path, _as_rows(np.concatenate([values, -values])))
+
+    @pytest.mark.parametrize("rows", [BLOCK_VALUES // 39 - 1, BLOCK_VALUES // 39,
+                                      BLOCK_VALUES // 39 + 1, 2 * (BLOCK_VALUES // 39) + 3])
+    def test_block_edges(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        matrix = rng.normal(size=(rows, 39)) * 10.0 ** rng.integers(-7, 18, (rows, 39))
+        matrix[::7, 3] = np.nan
+        matrix[::5, -1] = -0.0
+        assert_csv_matches_repr(tmp_path, matrix)
+
+    @pytest.mark.parametrize("shape", [(0, 39), (0, 0), (3, 0), (1, 1), (1, BLOCK_VALUES + 1)])
+    def test_degenerate_shapes(self, tmp_path, shape):
+        matrix = np.random.default_rng(1).normal(size=shape)
+        assert_csv_matches_repr(tmp_path, matrix)
+
+    def test_integer_and_float32_input(self, tmp_path):
+        assert_csv_matches_repr(tmp_path, np.arange(-60, 60, dtype=np.int64).reshape(8, 15) ** 7)
+        assert_csv_matches_repr(tmp_path, np.linspace(-3, 3, 120, dtype=np.float32).reshape(8, 15))
+
+    def test_feature_matrix_input(self, tmp_path):
+        data = np.random.default_rng(2).normal(size=(5, 13))
+        assert_csv_matches_repr(tmp_path, FeatureMatrix(data=data, kind="mfcc"))
+
+    @given(hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12),
+        elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_any_float64_matrix(self, tmp_path_factory, matrix):
+        assert_csv_matches_repr(tmp_path_factory.mktemp("csv"), matrix)
+
+    def test_peak_memory_at_most_the_repr_writer(self, tmp_path):
+        matrix = np.random.default_rng(3).normal(size=(2000, 39))
+        peaks = []
+        for writer in (write_csv_repr, write_csv):
+            writer(matrix, tmp_path / "warm.csv")
+            tracemalloc.start()
+            try:
+                writer(matrix, tmp_path / "m.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
+
+
+def test_no_formatting_table_built_at_import():
+    code = ("import spfeat.cli, spfeat._csvfmt as f; "
+            "print(f._pow10.cache_info().currsize, f._tables.cache_info().currsize)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["0", "0"]
+
+
+def _leftovers(directory):
+    return sorted(p.name for p in directory.iterdir() if p.name.startswith("."))
+
+
+class TestOutputsNeverHalfWritten:
+    def test_csv_writer_raising_mid_file(self, tmp_path, monkeypatch):
+        def chunks_then_failure(data):
+            yield b"1.0,2.0\n"
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "csv_chunks", chunks_then_failure)
+        with pytest.raises(OSError, match="disk full"):
+            write_csv(np.ones((4, 2)), tmp_path / "new.csv")
+        assert not (tmp_path / "new.csv").exists()
+        (tmp_path / "old.csv").write_bytes(b"earlier output\n")
+        with pytest.raises(OSError, match="disk full"):
+            write_csv(np.ones((4, 2)), tmp_path / "old.csv")
+        assert (tmp_path / "old.csv").read_bytes() == b"earlier output\n"
+        assert _leftovers(tmp_path) == []
+
+    def test_spfe_writer_raising_mid_file(self, tmp_path):
+        unconvertible = np.array([[1.0, "x"]], dtype=object)  # fails after the header
+        with pytest.raises(ValueError):
+            write_spfe(unconvertible, tmp_path / "new.spfe")
+        assert not (tmp_path / "new.spfe").exists()
+        write_spfe(np.ones((2, 3)), tmp_path / "old.spfe")
+        before = (tmp_path / "old.spfe").read_bytes()
+        with pytest.raises(ValueError):
+            write_spfe(unconvertible, tmp_path / "old.spfe")
+        assert (tmp_path / "old.spfe").read_bytes() == before
+        assert _leftovers(tmp_path) == []
+
+    def test_interrupt_removes_the_temporary_file(self, tmp_path, monkeypatch):
+        def interrupted(data):
+            yield b"1.0\n"
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "csv_chunks", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            write_csv(np.ones((1, 1)), tmp_path / "m.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_replaced_with_the_usual_mode(self, tmp_path):
+        (tmp_path / "plain").write_bytes(b"")
+        (tmp_path / "m.csv").write_bytes(b"stale\n")
+        write_csv(np.array([[1.5]]), tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_bytes() == b"1.5\n"
+        mode = os.stat(tmp_path / "m.csv").st_mode & 0o777
+        assert mode == os.stat(tmp_path / "plain").st_mode & 0o777
+
+    def test_failed_input_leaves_earlier_output(self, fixture_dir, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        args = ["--feature", "mfcc", "--input", str(fixture_dir), "--output-dir", str(out_dir)]
+        assert main(args) == 0
+        earlier = (out_dir / "beta.csv").read_bytes()
+        wav = fixture_dir / "beta.wav"
+        wav.write_bytes(wav.read_bytes()[:100])
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(f"FAIL {wav}: ")
+        assert (out_dir / "beta.csv").read_bytes() == earlier
+        assert sorted(p.name for p in out_dir.iterdir()) == ["alpha.csv", "beta.csv"]
+
+
 class TestWriteSpfe:
     def test_single_zero(self, tmp_path):
         path = tmp_path / "m.spfe"
@@ -298,6 +513,13 @@ class TestRunExtract:
             args += ["--win-size", "31"]
         assert main(args) == 0
         assert (out_dir / "alpha.csv").exists()
+
+    def test_empty_data_chunk_fails_at_read(self, fixture_dir, tmp_path, capsys):
+        empty = write_wav(fixture_dir / "empty.wav", np.zeros(0, np.int16))
+        code = main(["--feature", "mfcc", "--input", str(fixture_dir),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"FAIL {empty}: empty data chunk\n"
 
     def test_exit_code_2_on_bad_flags(self, capsys):
         assert main(["--feature", "mfcc"]) == 2

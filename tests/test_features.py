@@ -338,6 +338,21 @@ class TestMfcc:
         assert out.data.shape == (num_frames, config.num_cepstral)
         assert out.data.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("dc_elimination", [False, True])
+    @pytest.mark.parametrize("num_frames", [1, 99])
+    def test_result_owns_its_columns(self, dc_elimination, num_frames):
+        # the earlier result was a column slice of the T x num_filters cepstra
+        config = FeatureConfig(dc_elimination=dc_elimination)
+        signal = noise_frames(num_frames, seed=num_frames)
+        log_energies = lmfe(signal, config)
+        cepstra = np.matmul(_dct_matrix(config.num_filters), log_energies.data[:, :, None])[:, :, 0]
+        first = int(dc_elimination)
+        view = cepstra[:, first:first + config.num_cepstral]
+        out = mfcc(signal, config).data
+        assert out.flags.c_contiguous and out.flags.owndata and out.base is None
+        assert out.shape == view.shape
+        assert out.tobytes() == np.ascontiguousarray(view).tobytes()
+
     def test_dct_basis_cached_and_read_only(self):
         basis = _dct_matrix(13)
         assert _dct_matrix(13) is basis
