@@ -8,6 +8,7 @@ Unknown chunks (LIST, fact, ...) are skipped by their size field.
 from __future__ import annotations
 
 import numbers
+import os
 import struct
 from dataclasses import dataclass
 
@@ -63,13 +64,17 @@ def samples_to_real(raw) -> np.ndarray:
 def read_wav(path) -> AudioBuffer:
     """Parse a 16-bit PCM WAV file (mono or stereo) into an AudioBuffer.
 
+    ``path`` is a str, bytes or os.PathLike; anything else, an open file
+    descriptor included, is a MissingFileError and is never read or closed.
     Raises MissingFileError, MalformedWavError, or UnsupportedFormatError;
     arbitrary byte streams never escape as unhandled exceptions.
     """
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise MissingFileError(f"cannot read {path!r}: not a file path")
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise MissingFileError(f"cannot read {path}: {exc}") from exc
 
     if len(blob) < 12 or blob[0:4] != b"RIFF" or blob[8:12] != b"WAVE":

@@ -11,7 +11,7 @@ import numpy as np
 from .audio_io import AudioBuffer
 from .errors import InvalidFftLengthError, InvalidParameterError
 from .mel_filterbank import build_filterbank
-from .preprocess import WINDOW_TYPES, apply_window, pre_emphasis, stack_frames
+from .preprocess import WINDOW_TYPES, apply_window, pre_emphasis, require_real, stack_frames
 from .spectrum import is_power_of_two, power_spectrum
 
 # Floor for filterbank energies and frame energies, avoids log(0).
@@ -57,6 +57,12 @@ class FeatureConfig:
     zero_padding: bool = True
 
     def validate(self):
+        for name in ("alpha", "frame_length_s", "frame_stride_s", "low_freq", "high_freq"):
+            value = getattr(self, name)
+            if value is None and name == "high_freq":
+                continue  # fs/2
+            # real scalars, not strings or arrays; the band also keys the filterbank cache
+            require_real(name, value)
         if not 0.0 <= self.alpha < 1.0:
             raise InvalidParameterError(f"alpha must be in [0, 1), got {self.alpha}")
         for name, dur in (
@@ -73,13 +79,6 @@ class FeatureConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-        for name in ("low_freq", "high_freq"):
-            value = getattr(self, name)
-            if value is None and name == "high_freq":
-                continue  # fs/2
-            # a real scalar, also because the filterbank cache hashes the band
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
         if not is_power_of_two(self.fft_length):
             raise InvalidFftLengthError(
                 f"fft_length {self.fft_length} is not a power of two"
@@ -206,8 +205,9 @@ def extract_derivative(
     features: FeatureMatrix, window_half_width: int = 2
 ) -> FeatureMatrix:
     """Stack features with their deltas and delta-deltas: [static | d | dd]."""
-    if window_half_width < 1:
-        raise InvalidParameterError("window_half_width must be >= 1")
+    width = window_half_width
+    if not isinstance(width, numbers.Integral) or isinstance(width, bool) or width < 1:
+        raise InvalidParameterError(f"window_half_width must be an integer >= 1, got {width!r}")
     delta = _delta(features.data, window_half_width)
     delta_delta = _delta(delta, window_half_width)
     return FeatureMatrix(

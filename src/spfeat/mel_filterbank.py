@@ -21,6 +21,7 @@ from .errors import (
     NegativeFrequencyError,
     NegativeMelError,
 )
+from .spectrum import is_power_of_two
 
 # HTK-style mel scale constants
 _MEL_SCALE = 2595.0
@@ -74,7 +75,7 @@ def build_filterbank(
     """
     if num_filters < 1:
         raise InvalidBandError(f"num_filters must be >= 1, got {num_filters}")
-    if fft_length < 1 or (fft_length & (fft_length - 1)) != 0:
+    if not is_power_of_two(fft_length):
         raise InvalidFftLengthError(f"fft_length {fft_length} is not a power of two")
     nyquist = sampling_frequency / 2.0
     if high_freq is None:

@@ -6,7 +6,7 @@ import numbers
 
 import numpy as np
 
-from .errors import EmptyFeaturesError, InvalidWindowError
+from .errors import EmptyFeaturesError, InvalidParameterError, InvalidWindowError
 from .features import FeatureMatrix
 
 # Guard added to the standard deviation before dividing.
@@ -70,6 +70,8 @@ def cmvnw(
     """
     validate_win_size(win_size)
     x = _as_array(features)
+    if x.ndim != 2:
+        raise InvalidParameterError(f"cmvnw needs a T x D matrix, got shape {x.shape}")
     num_frames = x.shape[0]
     if num_frames == 0:
         raise EmptyFeaturesError("cmvnw requires at least one frame")

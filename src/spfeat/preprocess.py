@@ -9,6 +9,7 @@ overlapping frames never duplicate samples.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,15 @@ class FrameMatrix:
         return self.data.shape[0]
 
 
+def require_real(name: str, value) -> None:
+    """Raise InvalidParameterError unless value is a real scalar (not a bool)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+
+
 def pre_emphasis(signal: AudioBuffer, alpha: float = 0.97) -> AudioBuffer:
     """First-order high-pass: y[t] = x[t] - alpha * x[t-1], with y[0] = x[0]."""
+    require_real("alpha", alpha)
     if not 0.0 <= alpha < 1.0:
         raise InvalidParameterError(f"alpha must be in [0, 1), got {alpha}")
     x = signal.samples
@@ -67,8 +75,9 @@ def stack_frames(
     signal is extended with zeros so every sample lands in some frame.
     """
     for name, dur in (("frame_length", frame_length_s), ("frame_stride", frame_stride_s)):
-        if dur <= 0:
-            raise InvalidParameterError(f"{name} must be positive, got {dur}")
+        require_real(name, dur)
+        if not 0.0 < dur < math.inf:
+            raise InvalidParameterError(f"{name} must be positive and finite, got {dur}")
 
     fs = signal.sampling_frequency
     length = _seconds_to_samples(frame_length_s, fs)

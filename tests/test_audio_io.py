@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -63,6 +64,22 @@ class TestReadWav:
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFileError):
             read_wav(tmp_path / "nope.wav")
+
+    @pytest.mark.parametrize("bad", [2**20, True, None, 3.0, "a\0b"])
+    def test_rejects_non_path(self, bad):
+        with pytest.raises(MissingFileError):
+            read_wav(bad)
+
+    def test_open_descriptor_is_not_read_or_closed(self, tmp_path):
+        path = write_wav(tmp_path / "s.wav", [1, 2, 3])
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            with pytest.raises(MissingFileError):
+                read_wav(fd)
+            os.fstat(fd)  # EBADF if read_wav closed it
+            assert os.lseek(fd, 0, os.SEEK_CUR) == 0
+        finally:
+            os.close(fd)
 
     def test_truncated_data_chunk(self, tmp_path):
         blob = bytearray(write_wav(tmp_path / "s.wav", [1] * 100).read_bytes())

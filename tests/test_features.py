@@ -157,6 +157,10 @@ class TestMfe:
         ("low_freq", np.array(100.0)),
         ("low_freq", True),
         ("high_freq", "8000"),
+        ("alpha", None),
+        ("alpha", "0.9"),
+        ("frame_length_s", None),
+        ("frame_stride_s", "0.01"),
     ])
     def test_config_rejects_bad_counts(self, field, value):
         with pytest.raises(InvalidParameterError):
@@ -403,3 +407,8 @@ class TestExtractDerivative:
     def test_invalid_half_width(self):
         with pytest.raises(InvalidParameterError):
             extract_derivative(FeatureMatrix(data=np.ones((4, 2)), kind="mfe"), 0)
+
+    @pytest.mark.parametrize("bad", [2.5, "2", True, None])
+    def test_half_width_not_an_integer(self, bad):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            extract_derivative(FeatureMatrix(data=np.ones((4, 2)), kind="mfe"), bad)

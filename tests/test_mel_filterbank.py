@@ -4,6 +4,7 @@ import pytest
 from spfeat.errors import (
     DegenerateFilterError,
     InvalidBandError,
+    InvalidFftLengthError,
     NegativeFrequencyError,
     NegativeMelError,
 )
@@ -99,6 +100,11 @@ class TestBuildFilterbank:
     def test_invalid_band(self, low, high):
         with pytest.raises(InvalidBandError):
             build_filterbank(10, 512, 16000, low, high)
+
+    @pytest.mark.parametrize("fft_length", [512.0, True, 500, 0])
+    def test_rejects_non_power_of_two_fft_length(self, fft_length):
+        with pytest.raises(InvalidFftLengthError):
+            build_filterbank(40, fft_length, 16000)
 
     def test_degenerate_filters_reported(self):
         # 40 filters over 64-point FFT: low-band edges closer than one bin

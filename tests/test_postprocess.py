@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spfeat.errors import EmptyFeaturesError, InvalidWindowError
+from spfeat.errors import EmptyFeaturesError, InvalidParameterError, InvalidWindowError
 from spfeat.features import FeatureMatrix
 from spfeat.postprocess import FRAME_BLOCK, cmvn, cmvnw
 
@@ -123,6 +123,11 @@ class TestCmvnw:
     def test_empty(self):
         with pytest.raises(EmptyFeaturesError):
             cmvnw(np.zeros((0, 2)), win_size=3)
+
+    @pytest.mark.parametrize("bad", [np.arange(10.0), np.float64(1.0), np.ones((2, 3, 4))])
+    def test_rejects_non_matrix(self, bad):
+        with pytest.raises(InvalidParameterError, match="T x D"):
+            cmvnw(bad, win_size=3)
 
     @pytest.mark.parametrize("variance", [False, True])
     def test_interior_matches_brute_force(self, variance):

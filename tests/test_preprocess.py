@@ -32,6 +32,11 @@ class TestPreEmphasis:
         with pytest.raises(InvalidParameterError):
             pre_emphasis(buf([1.0]), 1.0)
 
+    @pytest.mark.parametrize("alpha", ["0.9", None, False, np.array([0.5])])
+    def test_alpha_not_a_real_number(self, alpha):
+        with pytest.raises(InvalidParameterError, match="real number"):
+            pre_emphasis(buf([1.0, 2.0]), alpha)
+
     @given(st.lists(st.floats(-1, 1), min_size=1, max_size=100))
     def test_alpha_zero_identity_property(self, samples):
         out = pre_emphasis(buf(samples), 0.0)
@@ -103,7 +108,15 @@ class TestStackFrames:
         with pytest.raises(FrameTooLongError):
             stack_frames(buf(np.ones(100), 16000), 0.020, 0.010, zero_padding=False)
 
-    @pytest.mark.parametrize("length,stride", [(-0.02, 0.01), (0.02, 0.0)])
+    @pytest.mark.parametrize("length,stride", [
+        (-0.02, 0.01),
+        (0.02, 0.0),
+        (0.02, "0.01"),
+        (None, 0.01),
+        (True, 0.01),
+        (0.02, float("nan")),
+        (float("inf"), 0.01),
+    ])
     def test_invalid_durations(self, length, stride):
         with pytest.raises(InvalidParameterError):
             stack_frames(buf(np.ones(1000), 16000), length, stride)

@@ -1,6 +1,3 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -9,7 +6,6 @@ from spfeat.errors import InvalidFftLengthError
 from spfeat.preprocess import stack_frames
 from spfeat.spectrum import (
     ROW_BLOCK,
-    _plan,
     fft_magnitude,
     log_power_spectrum,
     naive_dft,
@@ -64,7 +60,7 @@ class TestFftMagnitude:
         expected = np.abs(naive_dft(frame + [0] * 5))[:5]
         np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
-    @pytest.mark.parametrize("bad_n", [3, 6, 12, 0])
+    @pytest.mark.parametrize("bad_n", [3, 6, 12, 0, 512.0, 7.0, True])
     def test_rejects_non_power_of_two(self, bad_n):
         with pytest.raises(InvalidFftLengthError):
             fft_magnitude(frames_of([[1, 2]]), bad_n)
@@ -86,6 +82,11 @@ class TestPowerSpectrum:
     def test_matches_oracle(self):
         out = power_spectrum(frames_of([[0, 1, 0, -1]]), 4)
         np.testing.assert_allclose(out.data[0], [0, 1, 0], atol=1e-14)
+
+    @pytest.mark.parametrize("bad_n", [512.0, 4.0, True, "4", None])
+    def test_rejects_non_integer_length(self, bad_n):
+        with pytest.raises(InvalidFftLengthError, match="not a power of two"):
+            power_spectrum(frames_of([[1, 2]]), bad_n)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(7)
@@ -138,10 +139,17 @@ class TestFftAgainstOracle:
 # one row, both sides of each block edge, and a short last block
 ROW_COUNTS = [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3]
 PRODUCTION_SIZES = [128, 256, 512, 1024, 2048]
+# the first and last row of each block of 2 * ROW_BLOCK + 3 rows
+EDGE_ROWS = (0, ROW_BLOCK - 1, ROW_BLOCK, 2 * ROW_BLOCK - 1, 2 * ROW_BLOCK + 2)
 
 
 def oracle_bound(frame, n):
     return 1e-9 * max(1.0, np.abs(frame).max() * n)
+
+
+def power_oracle_bound(frame, n):
+    # |P - P'| = ||X| - |X'|| (|X| + |X'|) / N, and |X| <= max|x| N
+    return 2 * max(1.0, np.abs(frame).max()) * oracle_bound(frame, n)
 
 
 class TestFftAtProductionSizes:
@@ -182,16 +190,14 @@ class TestFftAtProductionSizes:
         expected = fft_magnitude(frames, n).data ** 2 / n
         np.testing.assert_allclose(power_spectrum(frames, n).data, expected, rtol=1e-12)
 
-    def test_plan_is_shared_and_read_only(self):
-        plan = _plan(512)
-        assert _plan(512) is plan
-        for table in (plan.untangle, *plan.twiddles[1:]):
-            with pytest.raises(ValueError):
-                table[0] = 0
-
-    def test_import_builds_no_plan(self):
-        code = "import spfeat.spectrum as s; print(s._plan.cache_info().currsize)"
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert result.stdout.strip() == "0"
+    @pytest.mark.parametrize("n", PRODUCTION_SIZES)
+    def test_power_against_naive_dft(self, n):
+        rng = np.random.default_rng(300 + n)
+        for length in (n, 5 * n // 8):  # a short frame is zero-padded to N
+            rows = rng.uniform(-1, 1, size=(2 * ROW_BLOCK + 3, length))
+            out = power_spectrum(frames_of(rows), n).data
+            assert out.shape == (len(rows), n // 2 + 1)
+            for r in EDGE_ROWS:
+                padded = np.concatenate([rows[r], np.zeros(n - length)])
+                oracle = np.abs(naive_dft(padded))[: n // 2 + 1] ** 2 / n
+                assert np.abs(out[r] - oracle).max() <= power_oracle_bound(rows[r], n)
