@@ -47,7 +47,11 @@ class AudioBuffer:
             raise InvalidSignalError(f"samples must be 1-D, got shape {samples.shape}")
         if samples.dtype.kind not in "iuf":
             raise InvalidSignalError(f"samples must be real numbers, got {samples.dtype}")
-        if not np.isfinite(samples).all():
+        # min and max carry any NaN or inf through, so no T-sized mask is built;
+        # integers are always finite
+        if samples.dtype.kind == "f" and samples.size and not (
+            np.isfinite(samples.min()) and np.isfinite(samples.max())
+        ):
             raise InvalidSignalError("samples must be finite, got NaN or inf")
         # frozen: store the array form, so a list or tuple works downstream
         object.__setattr__(self, "samples", samples)

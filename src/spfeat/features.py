@@ -163,7 +163,7 @@ def lmfe(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> Featur
     """Natural log of the mel filterbank energies."""
     energies = mfe(signal, config)
     return FeatureMatrix(
-        data=np.log(energies.data),
+        data=np.log(energies.data, out=energies.data),  # mfe's fresh array, ours to reuse
         kind="lmfe",
         frame_energies=energies.frame_energies,
     )
@@ -192,12 +192,17 @@ def _delta(data: np.ndarray, half_width: int) -> np.ndarray:
     # least-squares slope over a +-half_width window with edge replication
     num_frames = data.shape[0]
     denom = 2.0 * sum(n * n for n in range(1, half_width + 1))
-    idx = np.arange(num_frames)
+    # row t + half_width of the extended copy is frame t; past either end,
+    # the edge frame repeats
+    ext = np.concatenate([data[:1]] * half_width + [data] + [data[-1:]] * half_width)
     out = np.zeros_like(data)
+    diff = np.empty_like(data)
     for n in range(1, half_width + 1):
-        ahead = data[np.minimum(idx + n, num_frames - 1)]
-        behind = data[np.maximum(idx - n, 0)]
-        out += n * (ahead - behind)
+        ahead = ext[half_width + n : half_width + n + num_frames]
+        behind = ext[half_width - n : half_width - n + num_frames]
+        np.subtract(ahead, behind, out=diff)
+        diff *= n
+        out += diff
     return out / denom
 
 
@@ -208,9 +213,14 @@ def extract_derivative(
     width = window_half_width
     if not isinstance(width, numbers.Integral) or isinstance(width, bool) or width < 1:
         raise InvalidParameterError(f"window_half_width must be an integer >= 1, got {width!r}")
-    delta = _delta(features.data, window_half_width)
+    data = features.data if isinstance(features, FeatureMatrix) else None
+    if not isinstance(data, np.ndarray) or data.ndim != 2 or data.dtype.kind not in "iuf":
+        raise InvalidParameterError(
+            f"extract_derivative needs a FeatureMatrix of 2-D real data, got {features!r:.80}"
+        )
+    delta = _delta(data, window_half_width)
     delta_delta = _delta(delta, window_half_width)
     return FeatureMatrix(
-        data=np.concatenate([features.data, delta, delta_delta], axis=1),
+        data=np.concatenate([data, delta, delta_delta], axis=1),
         kind="derivative_stacked",
     )

@@ -10,6 +10,7 @@ and shared between callers, so their arrays are read-only.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +19,11 @@ from .errors import (
     DegenerateFilterError,
     InvalidBandError,
     InvalidFftLengthError,
+    InvalidParameterError,
     NegativeFrequencyError,
     NegativeMelError,
 )
+from .preprocess import require_real
 from .spectrum import is_power_of_two
 
 # HTK-style mel scale constants
@@ -58,8 +61,6 @@ def mel_to_hz(m):
     return _MEL_BREAK_HZ * (10.0 ** (m / _MEL_SCALE) - 1.0)
 
 
-# typed, so 40 and 40.0 are separate entries and a bad type never reuses a bank
-@functools.lru_cache(maxsize=32, typed=True)
 def build_filterbank(
     num_filters: int,
     fft_length: int,
@@ -73,10 +74,24 @@ def build_filterbank(
     falls back to 0 at edge i+1.  The result is cached per arguments and
     shared; its weights and frequencies are read-only.
     """
-    if num_filters < 1:
-        raise InvalidBandError(f"num_filters must be >= 1, got {num_filters}")
+    # checked before the cache key is built, so an unhashable or non-numeric
+    # argument is a typed error
+    if not isinstance(num_filters, numbers.Integral) or isinstance(num_filters, bool):
+        raise InvalidParameterError(f"num_filters must be an integer, got {num_filters!r}")
     if not is_power_of_two(fft_length):
         raise InvalidFftLengthError(f"fft_length {fft_length} is not a power of two")
+    require_real("sampling_frequency", sampling_frequency)
+    require_real("low_freq", low_freq)
+    if high_freq is not None:
+        require_real("high_freq", high_freq)
+    return _build_filterbank(num_filters, fft_length, sampling_frequency, low_freq, high_freq)
+
+
+# typed, so 16000 and 16000.0 are separate entries
+@functools.lru_cache(maxsize=32, typed=True)
+def _build_filterbank(num_filters, fft_length, sampling_frequency, low_freq, high_freq):
+    if num_filters < 1:
+        raise InvalidBandError(f"num_filters must be >= 1, got {num_filters}")
     nyquist = sampling_frequency / 2.0
     if high_freq is None:
         high_freq = nyquist

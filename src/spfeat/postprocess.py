@@ -22,7 +22,10 @@ FRAME_BLOCK = 1024
 
 def _as_array(features):
     data = features.data if isinstance(features, FeatureMatrix) else features
-    return np.asarray(data, dtype=np.float64)
+    try:
+        return np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"features must be an array of reals: {exc}") from exc
 
 
 def _wrap(features, data):
@@ -36,11 +39,16 @@ def _wrap(features, data):
 def cmvn(features, variance_normalization: bool = False):
     """Subtract the per-column mean; optionally divide by (population std + 1e-10)."""
     x = _as_array(features)
-    if x.shape[0] == 0:
+    num_frames = x.shape[0]
+    if num_frames == 0:
         raise EmptyFeaturesError("cmvn requires at least one frame")
     y = x - x.mean(axis=0)
     if variance_normalization:
-        y = y / (x.std(axis=0) + _SIGMA_GUARD)
+        # x.std(axis=0)'s own steps on the already centred y: sum of squares
+        # over the frames, / T, sqrt
+        std = np.sqrt(np.add.reduce(y * y, axis=0) / num_frames)
+        std += _SIGMA_GUARD
+        y /= std
     return _wrap(features, y)
 
 

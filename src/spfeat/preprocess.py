@@ -2,12 +2,14 @@
 
 Pre-emphasis, frame stacking, and windowing.  All operations are pure:
 they never mutate their inputs.  Frames are a read-only strided view of
-the signal (of a zero-padded copy when the last frame is partial), so
-overlapping frames never duplicate samples.
+the signal (of a contiguous copy when the signal is strided, of a
+zero-padded one when the last frame is partial), so overlapping frames
+never duplicate samples.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -87,7 +89,8 @@ def stack_frames(
             f"frame length/stride round to {length}/{stride} samples at fs={fs}"
         )
 
-    x = np.asarray(signal.samples, dtype=np.float64)
+    # contiguous, so the frames below can be a strided view of its buffer
+    x = np.ascontiguousarray(signal.samples, dtype=np.float64)
     n = len(x)
     if zero_padding:
         if n <= length:
@@ -104,9 +107,12 @@ def stack_frames(
             )
         num_frames = (n - length) // stride + 1
 
-    frames = np.lib.stride_tricks.sliding_window_view(x, length)[::stride]
+    # NumPy checks that the strided view stays inside x's buffer
+    step = x.itemsize
+    frames = np.ndarray((num_frames, length), x.dtype, x, strides=(stride * step, step))
+    frames.flags.writeable = False
     return FrameMatrix(
-        data=frames[:num_frames],
+        data=frames,
         sampling_frequency=fs,
         frame_length=length,
         frame_stride=stride,
@@ -114,21 +120,32 @@ def stack_frames(
 
 
 def window_function(kind: str, length: int) -> np.ndarray:
-    """Window samples of the given length; all types give w[0] = 1 for L = 1."""
+    """Window samples of the given length; all types give w[0] = 1 for L = 1.
+
+    Cached per (kind, length) and shared between callers, so read-only.
+    """
     if kind not in WINDOW_TYPES:
         raise InvalidParameterError(f"unknown window {kind!r}")
+    return _window(kind, length)
+
+
+# typed, so a length of 5.0 never reuses the window built for 5
+@functools.lru_cache(maxsize=32, typed=True)
+def _window(kind: str, length: int) -> np.ndarray:
     if kind == "rectangular" or length == 1:
-        return np.ones(length)
-    # evaluate the first half and mirror it so symmetry is exact
-    half = (length + 1) // 2
-    phase = 2.0 * np.pi * np.arange(half) / (length - 1)
-    if kind == "hamming":
-        head = 0.54 - 0.46 * np.cos(phase)
+        w = np.ones(length)
     else:
-        head = 0.5 - 0.5 * np.cos(phase)
-    w = np.empty(length)
-    w[:half] = head
-    w[half:] = head[: length - half][::-1]
+        # evaluate the first half and mirror it so symmetry is exact
+        half = (length + 1) // 2
+        phase = 2.0 * np.pi * np.arange(half) / (length - 1)
+        if kind == "hamming":
+            head = 0.54 - 0.46 * np.cos(phase)
+        else:
+            head = 0.5 - 0.5 * np.cos(phase)
+        w = np.empty(length)
+        w[:half] = head
+        w[half:] = head[: length - half][::-1]
+    w.flags.writeable = False
     return w
 
 

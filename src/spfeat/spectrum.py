@@ -55,28 +55,27 @@ def is_power_of_two(n) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _half_spectra(frames: FrameMatrix, fft_length: int):
-    """Check N, then return an iterator of (row slice, X) per block of
-    frames; X is the rows x (N/2 + 1) half spectrum of those frames.
-    Not a generator, so a bad N fails before the caller sizes its output."""
+def _half_spectra(frames: FrameMatrix, fft_length: int, fill) -> np.ndarray:
+    """Check N, then run rfft over each block of frames and let
+    ``fill(X, out_rows)`` write the block's rows of the T x (N/2 + 1)
+    result from its half spectrum X."""
     if not is_power_of_two(fft_length):
         raise InvalidFftLengthError(f"fft_length {fft_length} is not a power of two")
     if fft_length < frames.frame_length:
         raise InvalidFftLengthError(
             f"fft_length {fft_length} shorter than frame length {frames.frame_length}"
         )
-    blocks = (slice(s, s + ROW_BLOCK) for s in range(0, frames.num_frames, ROW_BLOCK))
-    return ((rows, np.fft.rfft(frames.data[rows], n=fft_length, axis=1)) for rows in blocks)
+    out = np.empty((frames.num_frames, fft_length // 2 + 1))
+    for s in range(0, frames.num_frames, ROW_BLOCK):
+        rows = slice(s, s + ROW_BLOCK)
+        fill(np.fft.rfft(frames.data[rows], n=fft_length, axis=1), out[rows])
+    return out
 
 
 def fft_magnitude(frames: FrameMatrix, fft_length: int) -> SpectrumMatrix:
     """Magnitude spectrum |X[k]| for bins k = 0 .. N/2 of each frame."""
-    blocks = _half_spectra(frames, fft_length)
-    out = np.empty((frames.num_frames, fft_length // 2 + 1))
-    for rows, x in blocks:
-        np.abs(x, out=out[rows])
     return SpectrumMatrix(
-        data=out,
+        data=_half_spectra(frames, fft_length, lambda x, out: np.abs(x, out=out)),
         kind="magnitude",
         fft_length=fft_length,
         sampling_frequency=frames.sampling_frequency,
@@ -85,13 +84,18 @@ def fft_magnitude(frames: FrameMatrix, fft_length: int) -> SpectrumMatrix:
 
 def power_spectrum(frames: FrameMatrix, fft_length: int) -> SpectrumMatrix:
     """Power spectrum P[k] = |X[k]|^2 / N of each frame."""
-    blocks = _half_spectra(frames, fft_length)
-    out = np.empty((frames.num_frames, fft_length // 2 + 1))
-    for rows, x in blocks:
-        np.add(np.square(x.real), np.square(x.imag), out=out[rows])
-    out /= fft_length
+
+    def fill(x, out):
+        # re^2 and im^2 in one contiguous pass over rfft's own block output,
+        # then their sum / N; N is a power of two, so * (1/N) rounds exactly
+        # as / N does, subnormal results included
+        pairs = x.view(np.float64)
+        np.square(pairs, out=pairs)
+        np.add(pairs[:, 0::2], pairs[:, 1::2], out=out)
+        out *= 1.0 / fft_length
+
     return SpectrumMatrix(
-        data=out,
+        data=_half_spectra(frames, fft_length, fill),
         kind="power",
         fft_length=fft_length,
         sampling_frequency=frames.sampling_frequency,

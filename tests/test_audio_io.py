@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from spfeat.audio_io import AudioBuffer, read_wav, samples_to_real
 from spfeat.errors import (
+    EmptySignalError,
     InvalidSignalError,
     MalformedWavError,
     MissingFileError,
     SpfeatError,
     UnsupportedFormatError,
 )
+from spfeat.preprocess import pre_emphasis
 
 from conftest import write_wav
 
@@ -183,6 +185,23 @@ def test_audio_buffer_rejects_bad_rate():
 def test_audio_buffer_rejects_bad_signal(samples, rate):
     with pytest.raises(InvalidSignalError):
         AudioBuffer(samples=samples, sampling_frequency=rate)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 500, -1])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_audio_buffer_rejects_non_finite_anywhere(value, where, dtype):
+    samples = np.random.default_rng(1).uniform(-1, 1, 1001).astype(dtype)
+    samples[where] = value
+    with pytest.raises(InvalidSignalError, match="finite"):
+        AudioBuffer(samples=samples, sampling_frequency=16000)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int16])
+def test_empty_buffer_reaches_pre_emphasis_check(dtype):
+    signal = AudioBuffer(samples=np.array([], dtype=dtype), sampling_frequency=16000)
+    with pytest.raises(EmptySignalError):
+        pre_emphasis(signal)
 
 
 @pytest.mark.parametrize("samples", [

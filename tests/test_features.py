@@ -412,3 +412,60 @@ class TestExtractDerivative:
     def test_half_width_not_an_integer(self, bad):
         with pytest.raises(InvalidParameterError, match="must be an integer"):
             extract_derivative(FeatureMatrix(data=np.ones((4, 2)), kind="mfe"), bad)
+
+
+def delta_by_gather(data, half_width):
+    """Oracle: deltas from edge-clamped index arrays."""
+    num_frames = data.shape[0]
+    denom = 2.0 * sum(n * n for n in range(1, half_width + 1))
+    idx = np.arange(num_frames)
+    out = np.zeros_like(data)
+    for n in range(1, half_width + 1):
+        ahead = data[np.minimum(idx + n, num_frames - 1)]
+        behind = data[np.maximum(idx - n, 0)]
+        out += n * (ahead - behind)
+    return out / denom
+
+
+class TestDerivativeBitwise:
+    @pytest.mark.parametrize("num_frames", [1, 63, 64, 65, 1024, 1025])
+    @pytest.mark.parametrize("dims", [1, 2, 13, 39])
+    @pytest.mark.parametrize("half_width", [1, 2, 3])
+    def test_against_index_gather(self, num_frames, dims, half_width):
+        data = np.random.default_rng(num_frames * dims).normal(size=(num_frames, dims))
+        data[: num_frames // 3] = 0.0  # silent frames: exact zeros and -0.0 sums
+        delta = delta_by_gather(data, half_width)
+        expected = np.concatenate([data, delta, delta_by_gather(delta, half_width)], axis=1)
+        out = extract_derivative(FeatureMatrix(data=data, kind="mfcc"), half_width)
+        assert out.data.tobytes() == expected.tobytes()
+
+    def test_integer_features(self):
+        data = np.arange(40).reshape(10, 4) ** 2
+        delta = delta_by_gather(data, 2)
+        expected = np.concatenate([data, delta, delta_by_gather(delta, 2)], axis=1)
+        out = extract_derivative(FeatureMatrix(data=data, kind="mfe"))
+        assert out.data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bad", [
+    np.ones((4, 2)),
+    FeatureMatrix(data=np.ones(4), kind="mfcc"),
+    FeatureMatrix(data=np.ones((4, 2, 1)), kind="mfcc"),
+    FeatureMatrix(data=[[1.0, 2.0]], kind="mfcc"),
+    FeatureMatrix(data=np.array([["a", "b"]]), kind="mfcc"),
+    FeatureMatrix(data=np.ones((4, 2), dtype=complex), kind="mfcc"),
+    None,
+], ids=["ndarray", "1-D", "3-D", "list", "strings", "complex", "None"])
+def test_extract_derivative_rejects_non_feature_matrix(bad):
+    with pytest.raises(InvalidParameterError, match="FeatureMatrix of 2-D real data"):
+        extract_derivative(bad)
+
+
+@pytest.mark.parametrize("window", ["rectangular", "hamming"])
+def test_lmfe_is_log_of_mfe_bitwise(window):
+    signal = noise_frames(200, seed=4)
+    config = FeatureConfig(window=window)
+    energies = mfe(signal, config)
+    out = lmfe(signal, config)
+    assert out.data.tobytes() == np.log(energies.data).tobytes()
+    assert out.frame_energies.tobytes() == energies.frame_energies.tobytes()

@@ -5,6 +5,7 @@ from spfeat.errors import (
     DegenerateFilterError,
     InvalidBandError,
     InvalidFftLengthError,
+    InvalidParameterError,
     NegativeFrequencyError,
     NegativeMelError,
 )
@@ -116,3 +117,22 @@ class TestBuildFilterbank:
             with pytest.raises(DegenerateFilterError):
                 build_filterbank(40, 64, 16000, 0, 8000)
 
+    @pytest.mark.parametrize("args, kwargs", [
+        ((40.5, 512, 16000), {}),
+        ((True, 512, 16000), {}),
+        ((40, 512, "16000"), {}),
+        ((40, 512, None), {}),
+        ((40, 512, 16000), {"low_freq": [0]}),
+        ((40, 512, 16000), {"high_freq": "8000"}),
+        ((40, 512, 16000), {"high_freq": np.array([8000.0])}),
+    ], ids=["float-count", "bool-count", "str-rate", "no-rate", "list-low", "str-high",
+            "array-high"])
+    def test_argument_types_are_typed_errors(self, args, kwargs):
+        # checked before the cache key, so an unhashable band is no TypeError
+        with pytest.raises(InvalidParameterError):
+            build_filterbank(*args, **kwargs)
+
+    def test_cached_per_value_across_call_forms(self):
+        bank = build_filterbank(26, 512, 16000, 0.0, None)
+        assert build_filterbank(26, 512, 16000) is bank
+        assert build_filterbank(26, 512, 16000, low_freq=0.0) is bank

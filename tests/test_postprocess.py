@@ -193,3 +193,35 @@ class TestCmvnw:
         for variance in (False, True):
             out = cmvnw(x, win_size=3, variance_normalization=variance)
             assert out.tobytes() == cmvnw_loop(x, 3, variance).tobytes()
+
+
+def cmvn_by_std(x, variance_normalization):
+    """Oracle: centring and scaling through ndarray.mean and ndarray.std."""
+    y = x - x.mean(axis=0)
+    if variance_normalization:
+        y = y / (x.std(axis=0) + 1e-10)
+    return y
+
+
+@pytest.mark.parametrize("num_frames", [1, 2, 63, 64, 65, 1024, 1025])
+@pytest.mark.parametrize("dims", [1, 2, 13, 39])
+@pytest.mark.parametrize("variance", [False, True])
+def test_cmvn_bitwise_against_std(num_frames, dims, variance):
+    x = _features(num_frames, dims, seed=num_frames * dims)
+    assert cmvn(x, variance).tobytes() == cmvn_by_std(x, variance).tobytes()
+
+
+def test_cmvn_bitwise_on_one_column_vector():
+    x = np.random.default_rng(3).normal(size=1025) * 4 + 2
+    assert cmvn(x, True).tobytes() == cmvn_by_std(x, True).tobytes()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cmvn("abc"),
+    lambda: cmvn([[1.0], ["x"]], True),
+    lambda: cmvnw([["a"]], 3),
+    lambda: cmvnw(FeatureMatrix(data=[[object()]], kind="mfcc"), 3),
+], ids=["cmvn-str", "cmvn-mixed", "cmvnw-str", "cmvnw-object"])
+def test_non_numeric_features_rejected(call):
+    with pytest.raises(InvalidParameterError, match="array of reals"):
+        call()

@@ -187,3 +187,60 @@ class TestApplyWindow:
     def test_unknown_window(self):
         with pytest.raises(InvalidParameterError):
             window_function("blackman", 8)
+
+
+def window_uncached(kind, length):
+    """Oracle: the window computed afresh on every call."""
+    if kind == "rectangular" or length == 1:
+        return np.ones(length)
+    half = (length + 1) // 2
+    phase = 2.0 * np.pi * np.arange(half) / (length - 1)
+    head = (0.54 - 0.46 * np.cos(phase)) if kind == "hamming" else (0.5 - 0.5 * np.cos(phase))
+    return np.concatenate([head, head[: length - half][::-1]])
+
+
+def frames_by_sliding_window(x, length, stride, zero_padding):
+    """Oracle: frames from sliding_window_view over the (padded) signal."""
+    x = np.asarray(x, dtype=np.float64)
+    if zero_padding:
+        count = 1 if len(x) <= length else -((len(x) - length) // -stride) + 1
+        x = np.concatenate([x, np.zeros(max(0, length + (count - 1) * stride - len(x)))])
+    else:
+        count = (len(x) - length) // stride + 1
+    return np.lib.stride_tricks.sliding_window_view(x, length)[::stride][:count]
+
+
+class TestBitwiseAgainstEarlierForms:
+    @pytest.mark.parametrize("kind", ["rectangular", "hamming", "hanning"])
+    @pytest.mark.parametrize("length", [1, 2, 3, 80, 160, 256, 320, 512, 1024])
+    def test_cached_window(self, kind, length):
+        w = window_function(kind, length)
+        assert w.tobytes() == window_uncached(kind, length).tobytes()
+        assert window_function(kind, length) is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 2.0
+
+    @pytest.mark.parametrize("num_frames", [1, 63, 64, 65, 1024, 1025])
+    @pytest.mark.parametrize("fs", [8000, 16000])
+    @pytest.mark.parametrize("window", ["rectangular", "hamming", "hanning"])
+    @pytest.mark.parametrize("zero_padding", [True, False])
+    def test_framing_and_window(self, num_frames, fs, window, zero_padding):
+        length, stride = fs // 50, fs // 100
+        # a partial last frame when padding, trailing samples dropped without
+        n = length + (num_frames - 1) * stride - (stride // 2 if zero_padding else -7)
+        x = np.random.default_rng(num_frames + fs).uniform(-1, 1, n)
+        fm = stack_frames(buf(x, fs), 0.020, 0.010, zero_padding)
+        expected = frames_by_sliding_window(x, length, stride, zero_padding)
+        assert fm.num_frames == num_frames
+        assert fm.data.tobytes() == expected.tobytes()
+        windowed = apply_window(fm, window).data
+        assert windowed.tobytes() == (expected * window_uncached(window, length)).tobytes()
+
+    @pytest.mark.parametrize("zero_padding", [True, False])
+    def test_strided_signal(self, zero_padding):
+        x = np.random.default_rng(8).uniform(-1, 1, 2 * 1077)
+        fm = stack_frames(AudioBuffer(x[::2], 16000), 0.020, 0.010, zero_padding)
+        assert not fm.data.flags.writeable
+        expected = frames_by_sliding_window(x[::2], 320, 160, zero_padding)
+        assert fm.data.tobytes() == expected.tobytes()

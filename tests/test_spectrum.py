@@ -3,7 +3,7 @@ import pytest
 
 from spfeat.audio_io import AudioBuffer
 from spfeat.errors import InvalidFftLengthError
-from spfeat.preprocess import stack_frames
+from spfeat.preprocess import apply_window, stack_frames
 from spfeat.spectrum import (
     ROW_BLOCK,
     fft_magnitude,
@@ -201,3 +201,39 @@ class TestFftAtProductionSizes:
                 padded = np.concatenate([rows[r], np.zeros(n - length)])
                 oracle = np.abs(naive_dft(padded))[: n // 2 + 1] ** 2 / n
                 assert np.abs(out[r] - oracle).max() <= power_oracle_bound(rows[r], n)
+
+
+PINNED_FRAMES = [1, 63, 64, 65, 1024, 1025]
+
+
+def power_spectrum_temporaries(frames, n):
+    """Oracle: the earlier power form, |X|^2 summed over temporaries per
+    ROW_BLOCK rows, then divided by N over the whole matrix."""
+    out = np.empty((frames.num_frames, n // 2 + 1))
+    for s in range(0, frames.num_frames, ROW_BLOCK):
+        x = np.fft.rfft(frames.data[s : s + ROW_BLOCK], n=n, axis=1)
+        np.add(np.square(x.real), np.square(x.imag), out=out[s : s + ROW_BLOCK])
+    return out / n
+
+
+def magnitude_per_block(frames, n):
+    """Oracle: |X| of each ROW_BLOCK-row rfft, stacked."""
+    return np.concatenate([
+        np.abs(np.fft.rfft(frames.data[s : s + ROW_BLOCK], n=n, axis=1))
+        for s in range(0, frames.num_frames, ROW_BLOCK)
+    ])
+
+
+class TestBitwiseAgainstEarlierForms:
+    @pytest.mark.parametrize("num_frames", PINNED_FRAMES)
+    @pytest.mark.parametrize("n", [256, 512, 1024])
+    @pytest.mark.parametrize("window", ["rectangular", "hamming", "hanning"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-160])  # 1e-160: subnormal powers
+    def test_power_and_magnitude(self, num_frames, n, window, scale):
+        rng = np.random.default_rng(num_frames + n)
+        rows = scale * rng.normal(size=(num_frames, 5 * n // 8))
+        frames = apply_window(frames_of(rows), window)
+        assert power_spectrum(frames, n).data.tobytes() == (
+            power_spectrum_temporaries(frames, n).tobytes()
+        )
+        assert fft_magnitude(frames, n).data.tobytes() == magnitude_per_block(frames, n).tobytes()
