@@ -169,14 +169,13 @@ def parse_config(argv) -> JobSpec:
         raise InvalidValueError("--feature is required")
     if not args.input:
         raise MissingInputError("no input files given")
-    config = FeatureConfig(
-        **{src.name: getattr(args, name) for name, (src, _) in _OPTIONS.items()
-           if isinstance(src, Field)}
-    )
     try:
         if args.postprocess.startswith("cmvnw"):
             postprocess.validate_win_size(args.win_size)
-        config.validate()
+        config = FeatureConfig(
+            **{src.name: getattr(args, name) for name, (src, _) in _OPTIONS.items()
+               if isinstance(src, Field)}
+        )
         if args.feature == "mfcc":
             config.validate_dc_elimination()
     except InvalidParameterError as exc:

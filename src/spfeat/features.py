@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .errors import InvalidFftLengthError, InvalidParameterError
+from .errors import InvalidParameterError
 from .mel_filterbank import build_filterbank
-from .preprocess import WINDOW_TYPES, apply_window, pre_emphasis, require_real, stack_frames
-from .spectrum import is_power_of_two, power_spectrum
+from .preprocess import (
+    WINDOW_TYPES, apply_window, pre_emphasis, require_int, require_real, stack_frames
+)
+from .spectrum import power_spectrum, require_fft_length
 
 # Floor for filterbank energies and frame energies, avoids log(0).
 ENERGY_FLOOR = float(np.finfo(np.float64).eps)
@@ -42,7 +43,7 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """All pipeline parameters in one record."""
+    """All pipeline parameters in one record, checked when it is built."""
 
     alpha: float = 0.97
     frame_length_s: float = 0.020
@@ -55,6 +56,9 @@ class FeatureConfig:
     high_freq: float | None = None  # None means fs/2
     dc_elimination: bool = False
     zero_padding: bool = True
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         for name in ("alpha", "frame_length_s", "frame_stride_s", "low_freq", "high_freq"):
@@ -76,13 +80,8 @@ class FeatureConfig:
         if self.window not in WINDOW_TYPES:
             raise InvalidParameterError(f"unknown window {self.window!r}")
         for name in ("fft_length", "num_filters", "num_cepstral"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-        if not is_power_of_two(self.fft_length):
-            raise InvalidFftLengthError(
-                f"fft_length {self.fft_length} is not a power of two"
-            )
+            require_int(name, getattr(self, name))
+        require_fft_length(self.fft_length)
         if self.num_filters < 1:
             raise InvalidParameterError("num_filters must be >= 1")
         if not 1 <= self.num_cepstral <= self.num_filters:
@@ -124,7 +123,6 @@ def mfe(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> Feature
     time, so no T x L or T x (N/2 + 1) array is built; the result is the
     same as running each stage over all frames at once.
     """
-    config.validate()
     frames = stack_frames(
         pre_emphasis(signal, config.alpha),
         frame_length_s=config.frame_length_s,
@@ -210,9 +208,9 @@ def extract_derivative(
     features: FeatureMatrix, window_half_width: int = 2
 ) -> FeatureMatrix:
     """Stack features with their deltas and delta-deltas: [static | d | dd]."""
-    width = window_half_width
-    if not isinstance(width, numbers.Integral) or isinstance(width, bool) or width < 1:
-        raise InvalidParameterError(f"window_half_width must be an integer >= 1, got {width!r}")
+    require_int("window_half_width", window_half_width)
+    if window_half_width < 1:
+        raise InvalidParameterError(f"window_half_width must be >= 1, got {window_half_width}")
     data = features.data if isinstance(features, FeatureMatrix) else None
     if not isinstance(data, np.ndarray) or data.ndim != 2 or data.dtype.kind not in "iuf":
         raise InvalidParameterError(

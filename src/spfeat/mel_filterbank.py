@@ -10,7 +10,7 @@ and shared between callers, so their arrays are read-only.
 from __future__ import annotations
 
 import functools
-import numbers
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +18,12 @@ import numpy as np
 from .errors import (
     DegenerateFilterError,
     InvalidBandError,
-    InvalidFftLengthError,
     InvalidParameterError,
     NegativeFrequencyError,
     NegativeMelError,
 )
-from .preprocess import require_real
-from .spectrum import is_power_of_two
+from .preprocess import require_int, require_real
+from .spectrum import require_fft_length
 
 # HTK-style mel scale constants
 _MEL_SCALE = 2595.0
@@ -76,11 +75,13 @@ def build_filterbank(
     """
     # checked before the cache key is built, so an unhashable or non-numeric
     # argument is a typed error
-    if not isinstance(num_filters, numbers.Integral) or isinstance(num_filters, bool):
-        raise InvalidParameterError(f"num_filters must be an integer, got {num_filters!r}")
-    if not is_power_of_two(fft_length):
-        raise InvalidFftLengthError(f"fft_length {fft_length} is not a power of two")
+    require_int("num_filters", num_filters)
+    require_fft_length(fft_length)
     require_real("sampling_frequency", sampling_frequency)
+    if not 0.0 < sampling_frequency < math.inf:
+        raise InvalidParameterError(
+            f"sampling_frequency must be positive and finite, got {sampling_frequency}"
+        )
     require_real("low_freq", low_freq)
     if high_freq is not None:
         require_real("high_freq", high_freq)

@@ -39,6 +39,8 @@ def _wrap(features, data):
 def cmvn(features, variance_normalization: bool = False):
     """Subtract the per-column mean; optionally divide by (population std + 1e-10)."""
     x = _as_array(features)
+    if x.ndim not in (1, 2):
+        raise InvalidParameterError(f"cmvn needs a T x D matrix or a vector, got shape {x.shape}")
     num_frames = x.shape[0]
     if num_frames == 0:
         raise EmptyFeaturesError("cmvn requires at least one frame")

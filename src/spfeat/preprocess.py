@@ -42,6 +42,12 @@ def require_real(name: str, value) -> None:
         raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
 
 
+def require_int(name: str, value) -> None:
+    """Raise InvalidParameterError unless value is an integer (not a bool)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def pre_emphasis(signal: AudioBuffer, alpha: float = 0.97) -> AudioBuffer:
     """First-order high-pass: y[t] = x[t] - alpha * x[t-1], with y[0] = x[0]."""
     require_real("alpha", alpha)
@@ -126,11 +132,13 @@ def window_function(kind: str, length: int) -> np.ndarray:
     """
     if kind not in WINDOW_TYPES:
         raise InvalidParameterError(f"unknown window {kind!r}")
+    require_int("length", length)
+    if length < 1:
+        raise InvalidParameterError(f"window length must be >= 1, got {length}")
     return _window(kind, length)
 
 
-# typed, so a length of 5.0 never reuses the window built for 5
-@functools.lru_cache(maxsize=32, typed=True)
+@functools.lru_cache(maxsize=32)
 def _window(kind: str, length: int) -> np.ndarray:
     if kind == "rectangular" or length == 1:
         w = np.ones(length)

@@ -48,19 +48,17 @@ def naive_dft(frame) -> np.ndarray:
     return np.exp(-2j * np.pi * grid / n) @ x
 
 
-def is_power_of_two(n) -> bool:
-    """True for the integers 1, 2, 4, ... (not bools): the accepted FFT lengths."""
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
-        return False
-    return n >= 1 and (n & (n - 1)) == 0
+def require_fft_length(n) -> None:
+    """Raise InvalidFftLengthError unless n is a power of two: 1, 2, 4, ..., not a bool."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1 or n & (n - 1):
+        raise InvalidFftLengthError(f"fft_length {n} is not a power of two")
 
 
 def _half_spectra(frames: FrameMatrix, fft_length: int, fill) -> np.ndarray:
     """Check N, then run rfft over each block of frames and let
     ``fill(X, out_rows)`` write the block's rows of the T x (N/2 + 1)
     result from its half spectrum X."""
-    if not is_power_of_two(fft_length):
-        raise InvalidFftLengthError(f"fft_length {fft_length} is not a power of two")
+    require_fft_length(fft_length)
     if fft_length < frames.frame_length:
         raise InvalidFftLengthError(
             f"fft_length {fft_length} shorter than frame length {frames.frame_length}"

@@ -19,6 +19,15 @@ from spfeat.preprocess import pre_emphasis
 
 from conftest import write_wav
 
+PCM_MONO = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+PCM_STEREO = struct.pack("<HHIIHH", 1, 2, 16000, 64000, 4, 16)
+
+
+def riff(*chunks):
+    """A RIFF/WAVE blob holding the given (chunk id, body) pairs in order."""
+    body = b"WAVE" + b"".join(cid + struct.pack("<I", len(data)) + data for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
 
 class TestSamplesToReal:
     def test_zero(self):
@@ -102,6 +111,20 @@ class TestReadWav:
         path = tmp_path / "nodata.wav"
         path.write_bytes(blob)
         with pytest.raises(MalformedWavError):
+            read_wav(path)
+
+    @pytest.mark.parametrize("chunks, message", [
+        ([(b"data", b"\x00" * 8)], "missing fmt chunk"),
+        ([(b"fmt ", PCM_MONO[:14]), (b"data", b"\x00" * 8)], "fmt chunk too short"),
+        ([(b"fmt ", struct.pack("<HHIIHH", 1, 1, 0, 0, 2, 16)), (b"data", b"\x00" * 8)],
+         "zero sample rate"),
+        ([(b"fmt ", PCM_MONO), (b"data", b"\x00" * 7)], "not a multiple of the frame size"),
+        ([(b"fmt ", PCM_STEREO), (b"data", b"\x00" * 6)], "not a multiple of the frame size"),
+    ], ids=["no-fmt", "short-fmt", "zero-rate", "odd-mono-data", "half-stereo-frame"])
+    def test_malformed_fmt_or_data(self, tmp_path, chunks, message):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(riff(*chunks))
+        with pytest.raises(MalformedWavError, match=message):
             read_wav(path)
 
     @pytest.mark.parametrize(

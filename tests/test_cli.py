@@ -133,6 +133,8 @@ class TestParseConfig:
         ["--postprocess", "cmvnw", "--win-size", "4"],
         ["--fft-length", "500"],
         ["--dc-elimination", "--num-cepstral", "40"],
+        ["--num-filters", "0"],
+        ["--num-cepstral", "0"],
     ])
     def test_bad_job_parameter_exits_2_once(self, fixture_dir, tmp_path, capsys, bad):
         out_dir = tmp_path / "out"
@@ -143,6 +145,20 @@ class TestParseConfig:
         assert "OK=" not in captured.out
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--high-freq", "6000"]])
+    def test_fft_length_error_wins_over_filterbank_error(
+        self, fixture_dir, tmp_path, capsys, extra
+    ):
+        # 40 filters over 256 bins are also degenerate; the spectrum's check
+        # runs before the filterbank is built, so its message is the one shown
+        code = main(["--feature", "mfcc", "--input", str(fixture_dir / "alpha.wav"),
+                     "--output-dir", str(tmp_path / "out"),
+                     "--fft-length", "256", "--frame-length", "0.025"] + extra)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"FAIL {fixture_dir / 'alpha.wav'}: fft_length 256 shorter than frame length 400\n"
+        )
 
     @pytest.mark.parametrize("feature", ["mfe", "lmfe"])
     def test_dc_elimination_rule_is_mfcc_only(self, fixture_dir, tmp_path, capsys, feature):

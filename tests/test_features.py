@@ -24,6 +24,25 @@ from spfeat.preprocess import apply_window, pre_emphasis, stack_frames
 from spfeat.spectrum import ROW_BLOCK, power_spectrum
 
 
+BAD_CONFIG_FIELDS = [
+    ("num_filters", 40.0),
+    ("num_cepstral", 13.0),
+    ("fft_length", 512.0),
+    ("num_filters", True),
+    ("fft_length", 500),
+    ("fft_length", 0),
+    ("low_freq", np.array(100.0)),
+    ("low_freq", True),
+    ("high_freq", "8000"),
+    ("alpha", None),
+    ("alpha", "0.9"),
+    ("frame_length_s", None),
+    ("frame_stride_s", "0.01"),
+    ("window", "bogus"),
+    ("num_filters", 0),
+]
+
+
 def dct_oracle(row):
     """O(M^2) defining summation, term by term."""
     m = len(row)
@@ -147,24 +166,16 @@ class TestMfe:
         with pytest.raises(InvalidParameterError):
             mfe(silence(), FeatureConfig(num_cepstral=50, num_filters=40))
 
-    @pytest.mark.parametrize("field, value", [
-        ("num_filters", 40.0),
-        ("num_cepstral", 13.0),
-        ("fft_length", 512.0),
-        ("num_filters", True),
-        ("fft_length", 500),
-        ("fft_length", 0),
-        ("low_freq", np.array(100.0)),
-        ("low_freq", True),
-        ("high_freq", "8000"),
-        ("alpha", None),
-        ("alpha", "0.9"),
-        ("frame_length_s", None),
-        ("frame_stride_s", "0.01"),
-    ])
+    @pytest.mark.parametrize("field, value", BAD_CONFIG_FIELDS)
     def test_config_rejects_bad_counts(self, field, value):
         with pytest.raises(InvalidParameterError):
             FeatureConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field, value", BAD_CONFIG_FIELDS)
+    def test_config_rejects_bad_fields_when_built(self, field, value):
+        # no validate() call: an invalid config cannot exist
+        with pytest.raises(InvalidParameterError):
+            FeatureConfig(**{field: value})
 
     def test_config_accepts_numpy_integers(self):
         FeatureConfig(fft_length=np.int64(256), num_filters=np.int32(26)).validate()

@@ -107,6 +107,10 @@ class TestBuildFilterbank:
         with pytest.raises(InvalidFftLengthError):
             build_filterbank(40, fft_length, 16000)
 
+    def test_zero_filters_is_a_band_error(self):
+        with pytest.raises(InvalidBandError, match="num_filters must be >= 1"):
+            build_filterbank(0, 512, 16000)
+
     def test_degenerate_filters_reported(self):
         # 40 filters over 64-point FFT: low-band edges closer than one bin
         with pytest.raises(DegenerateFilterError):
@@ -125,8 +129,12 @@ class TestBuildFilterbank:
         ((40, 512, 16000), {"low_freq": [0]}),
         ((40, 512, 16000), {"high_freq": "8000"}),
         ((40, 512, 16000), {"high_freq": np.array([8000.0])}),
+        ((40, 512, float("inf")), {}),
+        ((40, 512, float("nan")), {}),
+        ((40, 512, 0), {}),
+        ((40, 512, -1), {}),
     ], ids=["float-count", "bool-count", "str-rate", "no-rate", "list-low", "str-high",
-            "array-high"])
+            "array-high", "inf-rate", "nan-rate", "zero-rate", "negative-rate"])
     def test_argument_types_are_typed_errors(self, args, kwargs):
         # checked before the cache key, so an unhashable band is no TypeError
         with pytest.raises(InvalidParameterError):

@@ -55,6 +55,12 @@ class TestCmvn:
         with pytest.raises(EmptyFeaturesError):
             cmvn(np.zeros((0, 4)))
 
+    @pytest.mark.parametrize("bad", [5.0, np.array(5.0), np.zeros((2, 3, 4))],
+                             ids=["float", "0-d", "3-d"])
+    def test_rejects_scalars_and_3d(self, bad):
+        with pytest.raises(InvalidParameterError, match="got shape"):
+            cmvn(bad)
+
     def test_preserves_feature_matrix(self):
         feats = FeatureMatrix(
             data=np.arange(6, dtype=float).reshape(3, 2),

@@ -116,6 +116,8 @@ class TestStackFrames:
         (True, 0.01),
         (0.02, float("nan")),
         (float("inf"), 0.01),
+        (0.02, 1e-5),  # rounds to 0 samples at 16 kHz
+        (1e-5, 0.01),
     ])
     def test_invalid_durations(self, length, stride):
         with pytest.raises(InvalidParameterError):
@@ -187,6 +189,16 @@ class TestApplyWindow:
     def test_unknown_window(self):
         with pytest.raises(InvalidParameterError):
             window_function("blackman", 8)
+
+    @pytest.mark.parametrize("length", [5.5, 5.0, -3, 0, True, "5", None])
+    def test_window_length_must_be_a_positive_integer(self, length):
+        with pytest.raises(InvalidParameterError):
+            window_function("hamming", length)
+
+    def test_numpy_integer_window_length(self):
+        assert window_function("hanning", np.int64(7)).tobytes() == (
+            window_function("hanning", 7).tobytes()
+        )
 
 
 def window_uncached(kind, length):
