@@ -1,0 +1,64 @@
+"""Input rules shared by every module, each with its one message; imports only NumPy and errors."""
+
+import math
+import numbers
+
+import numpy as np
+
+from .errors import InvalidFftLengthError, InvalidParameterError
+
+
+def require_real(name: str, value, error=InvalidParameterError) -> None:
+    """Raise error unless value is a real scalar (not a bool)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise error(f"{name} must be a real number, got {value!r}")
+
+
+def require_int(name: str, value, error=InvalidParameterError) -> None:
+    """Raise error unless value is an integer (not a bool)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
+def require_positive(name: str, value, error=InvalidParameterError) -> None:
+    """Raise error unless value is a real number in (0, inf)."""
+    require_real(name, value, error)
+    if not 0.0 < value < math.inf:
+        raise error(f"{name} must be positive and finite, got {value}")
+
+
+def require_flag(name: str, value) -> None:
+    """Raise InvalidParameterError unless value is a bool or a NumPy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidParameterError(f"{name} must be True or False, got {value!r:.80}")
+
+
+def require_type(name: str, value, cls) -> None:
+    """Raise InvalidParameterError unless value is an instance of cls."""
+    if not isinstance(value, cls):
+        raise InvalidParameterError(
+            f"{name} must be an instance of {cls.__name__}, got {type(value).__name__}"
+        )
+
+
+def require_fft_length(n) -> None:
+    """Raise InvalidFftLengthError unless n is a power of two: 1, 2, 4, ..., not a bool."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1 or n & (n - 1):
+        raise InvalidFftLengthError(f"fft_length {n} is not a power of two")
+
+
+def as_real_array(name: str, value, ndims, error=InvalidParameterError) -> np.ndarray:
+    """value as a finite int/uint/float array in its own dtype, of a rank in ndims (None: any)."""
+    try:
+        x = np.asarray(value)
+        real = x.dtype.kind in "iuf"
+    except (TypeError, ValueError):  # ragged nesting, or a failing __array__
+        real = False
+    if not real:
+        raise error(f"{name} must be an array of reals, got {value!r:.80}")
+    if ndims is not None and x.ndim not in ndims:
+        raise error(f"{name} must be {' or '.join(f'{n}-D' for n in ndims)}, got shape {x.shape}")
+    # min and max carry NaN and inf through, so no mask the size of x is built
+    if x.dtype.kind == "f" and x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
+        raise error(f"{name} must be finite, got NaN or inf")
+    return x

@@ -7,13 +7,13 @@ Unknown chunks (LIST, fact, ...) are skipped by their size field.
 
 from __future__ import annotations
 
-import numbers
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import as_real_array, require_int, require_positive
 from .errors import (
     InvalidSignalError,
     MalformedWavError,
@@ -34,25 +34,9 @@ class AudioBuffer:
     sampling_frequency: int
 
     def __post_init__(self):
-        rate = self.sampling_frequency
-        if not isinstance(rate, numbers.Integral) or isinstance(rate, bool) or rate <= 0:
-            raise InvalidSignalError(
-                f"sampling_frequency must be a positive integer, got {rate!r}"
-            )
-        try:
-            samples = np.asarray(self.samples)
-        except (TypeError, ValueError) as exc:
-            raise InvalidSignalError(f"samples must be an array of reals: {exc}") from exc
-        if samples.ndim != 1:
-            raise InvalidSignalError(f"samples must be 1-D, got shape {samples.shape}")
-        if samples.dtype.kind not in "iuf":
-            raise InvalidSignalError(f"samples must be real numbers, got {samples.dtype}")
-        # min and max carry any NaN or inf through, so no T-sized mask is built;
-        # integers are always finite
-        if samples.dtype.kind == "f" and samples.size and not (
-            np.isfinite(samples.min()) and np.isfinite(samples.max())
-        ):
-            raise InvalidSignalError("samples must be finite, got NaN or inf")
+        require_int("sampling_frequency", self.sampling_frequency, InvalidSignalError)
+        require_positive("sampling_frequency", self.sampling_frequency, InvalidSignalError)
+        samples = as_real_array("samples", self.samples, (1,), InvalidSignalError)
         # frozen: store the array form, so a list or tuple works downstream
         object.__setattr__(self, "samples", samples)
 
@@ -62,7 +46,7 @@ class AudioBuffer:
 
 def samples_to_real(raw) -> np.ndarray:
     """Convert 16-bit integer samples to float64 via v / 32768."""
-    return np.asarray(raw, dtype=np.float64) / _FULL_SCALE
+    return np.asarray(as_real_array("raw", raw, None), dtype=np.float64) / _FULL_SCALE
 
 
 def read_wav(path) -> AudioBuffer:

@@ -7,13 +7,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._checks import (
+    as_real_array, require_fft_length, require_flag, require_int, require_real, require_type
+)
 from .audio_io import AudioBuffer
 from .errors import InvalidParameterError
 from .mel_filterbank import build_filterbank
-from .preprocess import (
-    WINDOW_TYPES, apply_window, pre_emphasis, require_int, require_real, stack_frames
-)
-from .spectrum import power_spectrum, require_fft_length
+from .preprocess import apply_window, pre_emphasis, require_alpha, require_window, stack_frames
+from .spectrum import power_spectrum
 
 # Floor for filterbank energies and frame energies, avoids log(0).
 ENERGY_FLOOR = float(np.finfo(np.float64).eps)
@@ -61,24 +62,19 @@ class FeatureConfig:
         self.validate()
 
     def validate(self):
-        for name in ("alpha", "frame_length_s", "frame_stride_s", "low_freq", "high_freq"):
-            value = getattr(self, name)
-            if value is None and name == "high_freq":
-                continue  # fs/2
-            # real scalars, not strings or arrays; the band also keys the filterbank cache
-            require_real(name, value)
-        if not 0.0 <= self.alpha < 1.0:
-            raise InvalidParameterError(f"alpha must be in [0, 1), got {self.alpha}")
-        for name, dur in (
-            ("frame_length_s", self.frame_length_s),
-            ("frame_stride_s", self.frame_stride_s),
-        ):
+        require_alpha(self.alpha)
+        for name in ("frame_length_s", "frame_stride_s"):
+            dur = getattr(self, name)
+            require_real(name, dur)
             if not 0.001 <= dur <= 1.0:
-                raise InvalidParameterError(
-                    f"{name} must be in [0.001, 1.0] s, got {dur}"
-                )
-        if self.window not in WINDOW_TYPES:
-            raise InvalidParameterError(f"unknown window {self.window!r}")
+                raise InvalidParameterError(f"{name} must be in [0.001, 1.0] s, got {dur}")
+        # real scalars, not strings or arrays; the band also keys the filterbank cache
+        require_real("low_freq", self.low_freq)
+        if self.high_freq is not None:  # None means fs/2
+            require_real("high_freq", self.high_freq)
+        require_window(self.window)
+        require_flag("dc_elimination", self.dc_elimination)
+        require_flag("zero_padding", self.zero_padding)
         for name in ("fft_length", "num_filters", "num_cepstral"):
             require_int(name, getattr(self, name))
         require_fft_length(self.fft_length)
@@ -112,7 +108,9 @@ def _dct_matrix(size: int) -> np.ndarray:
 
 def dct_ii_ortho(row) -> np.ndarray:
     """Orthonormal DCT-II of a single row."""
-    x = np.asarray(row, dtype=np.float64)
+    x = np.asarray(as_real_array("row", row, (1,)), dtype=np.float64)
+    if not len(x):
+        raise InvalidParameterError("dct_ii_ortho needs a non-empty row")
     return _dct_matrix(len(x)) @ x
 
 
@@ -123,6 +121,7 @@ def mfe(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> Feature
     time, so no T x L or T x (N/2 + 1) array is built; the result is the
     same as running each stage over all frames at once.
     """
+    require_type("config", config, FeatureConfig)
     frames = stack_frames(
         pre_emphasis(signal, config.alpha),
         frame_length_s=config.frame_length_s,
@@ -173,6 +172,7 @@ def mfcc(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> Featur
     With dc_elimination, coefficient 0 is dropped and 1..C kept; the log
     frame energy stays available separately via frame_energies.
     """
+    require_type("config", config, FeatureConfig)
     config.validate_dc_elimination()
     log_energies = lmfe(signal, config)
     # one matvec per row, stacked: bit-identical to dct_ii_ortho on each row
@@ -211,11 +211,11 @@ def extract_derivative(
     require_int("window_half_width", window_half_width)
     if window_half_width < 1:
         raise InvalidParameterError(f"window_half_width must be >= 1, got {window_half_width}")
-    data = features.data if isinstance(features, FeatureMatrix) else None
-    if not isinstance(data, np.ndarray) or data.ndim != 2 or data.dtype.kind not in "iuf":
+    if not (isinstance(features, FeatureMatrix) and isinstance(features.data, np.ndarray)):
         raise InvalidParameterError(
             f"extract_derivative needs a FeatureMatrix of 2-D real data, got {features!r:.80}"
         )
+    data = as_real_array("features (a FeatureMatrix of 2-D real data)", features.data, (2,))
     delta = _delta(data, window_half_width)
     delta_delta = _delta(delta, window_half_width)
     return FeatureMatrix(

@@ -10,20 +10,17 @@ and shared between callers, so their arrays are read-only.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import as_real_array, require_fft_length, require_int, require_positive, require_real
 from .errors import (
     DegenerateFilterError,
     InvalidBandError,
-    InvalidParameterError,
     NegativeFrequencyError,
     NegativeMelError,
 )
-from .preprocess import require_int, require_real
-from .spectrum import require_fft_length
 
 # HTK-style mel scale constants
 _MEL_SCALE = 2595.0
@@ -46,7 +43,7 @@ class FilterBank:
 
 def hz_to_mel(f):
     """mel = 2595 * log10(1 + f/700)"""
-    f = np.asarray(f, dtype=np.float64)
+    f = np.asarray(as_real_array("f", f, None), dtype=np.float64)
     if np.any(f < 0):
         raise NegativeFrequencyError("frequency must be >= 0 Hz")
     return _MEL_SCALE * np.log10(1.0 + f / _MEL_BREAK_HZ)
@@ -54,7 +51,7 @@ def hz_to_mel(f):
 
 def mel_to_hz(m):
     """f = 700 * (10^(m/2595) - 1)"""
-    m = np.asarray(m, dtype=np.float64)
+    m = np.asarray(as_real_array("m", m, None), dtype=np.float64)
     if np.any(m < 0):
         raise NegativeMelError("mel value must be >= 0")
     return _MEL_BREAK_HZ * (10.0 ** (m / _MEL_SCALE) - 1.0)
@@ -77,11 +74,7 @@ def build_filterbank(
     # argument is a typed error
     require_int("num_filters", num_filters)
     require_fft_length(fft_length)
-    require_real("sampling_frequency", sampling_frequency)
-    if not 0.0 < sampling_frequency < math.inf:
-        raise InvalidParameterError(
-            f"sampling_frequency must be positive and finite, got {sampling_frequency}"
-        )
+    require_positive("sampling_frequency", sampling_frequency)
     require_real("low_freq", low_freq)
     if high_freq is not None:
         require_real("high_freq", high_freq)

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
-from .errors import EmptyFeaturesError, InvalidParameterError, InvalidWindowError
+from ._checks import as_real_array, require_flag, require_int
+from .errors import EmptyFeaturesError, InvalidWindowError
 from .features import FeatureMatrix
 
 # Guard added to the standard deviation before dividing.
@@ -20,12 +19,9 @@ DEFAULT_WIN_SIZE = 301
 FRAME_BLOCK = 1024
 
 
-def _as_array(features):
+def _as_array(features, name, ndims):
     data = features.data if isinstance(features, FeatureMatrix) else features
-    try:
-        return np.asarray(data, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"features must be an array of reals: {exc}") from exc
+    return np.asarray(as_real_array(name, data, ndims), dtype=np.float64)
 
 
 def _wrap(features, data):
@@ -38,9 +34,8 @@ def _wrap(features, data):
 
 def cmvn(features, variance_normalization: bool = False):
     """Subtract the per-column mean; optionally divide by (population std + 1e-10)."""
-    x = _as_array(features)
-    if x.ndim not in (1, 2):
-        raise InvalidParameterError(f"cmvn needs a T x D matrix or a vector, got shape {x.shape}")
+    x = _as_array(features, "features (a T x D matrix or a vector)", (1, 2))
+    require_flag("variance_normalization", variance_normalization)
     num_frames = x.shape[0]
     if num_frames == 0:
         raise EmptyFeaturesError("cmvn requires at least one frame")
@@ -56,8 +51,7 @@ def cmvn(features, variance_normalization: bool = False):
 
 def validate_win_size(win_size: int) -> None:
     """Raise InvalidWindowError unless the cmvnw window is an odd integer >= 3."""
-    if not isinstance(win_size, numbers.Integral) or isinstance(win_size, bool):
-        raise InvalidWindowError(f"win_size must be an integer, got {win_size!r}")
+    require_int("win_size", win_size, InvalidWindowError)
     if win_size < 3 or win_size % 2 == 0:
         raise InvalidWindowError(f"win_size must be odd and >= 3, got {win_size}")
 
@@ -79,9 +73,8 @@ def cmvnw(
     scale, divided by the window's std + 1e-10 with variance normalization.
     """
     validate_win_size(win_size)
-    x = _as_array(features)
-    if x.ndim != 2:
-        raise InvalidParameterError(f"cmvnw needs a T x D matrix, got shape {x.shape}")
+    x = _as_array(features, "features (a T x D matrix)", (2,))
+    require_flag("variance_normalization", variance_normalization)
     num_frames = x.shape[0]
     if num_frames == 0:
         raise EmptyFeaturesError("cmvnw requires at least one frame")

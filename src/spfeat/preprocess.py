@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import require_flag, require_int, require_positive, require_real, require_type
 from .audio_io import AudioBuffer
 from .errors import EmptySignalError, FrameTooLongError, InvalidParameterError
 
@@ -36,23 +36,23 @@ class FrameMatrix:
         return self.data.shape[0]
 
 
-def require_real(name: str, value) -> None:
-    """Raise InvalidParameterError unless value is a real scalar (not a bool)."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+def require_alpha(alpha) -> None:
+    """Raise InvalidParameterError unless alpha is a real number in [0, 1)."""
+    require_real("alpha", alpha)
+    if not 0.0 <= alpha < 1.0:
+        raise InvalidParameterError(f"alpha must be in [0, 1), got {alpha}")
 
 
-def require_int(name: str, value) -> None:
-    """Raise InvalidParameterError unless value is an integer (not a bool)."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+def require_window(kind) -> None:
+    """Raise InvalidParameterError unless kind is one of WINDOW_TYPES."""
+    if not isinstance(kind, str) or kind not in WINDOW_TYPES:
+        raise InvalidParameterError(f"unknown window {kind!r}")
 
 
 def pre_emphasis(signal: AudioBuffer, alpha: float = 0.97) -> AudioBuffer:
     """First-order high-pass: y[t] = x[t] - alpha * x[t-1], with y[0] = x[0]."""
-    require_real("alpha", alpha)
-    if not 0.0 <= alpha < 1.0:
-        raise InvalidParameterError(f"alpha must be in [0, 1), got {alpha}")
+    require_type("signal", signal, AudioBuffer)
+    require_alpha(alpha)
     x = signal.samples
     if len(x) == 0:
         raise EmptySignalError("pre_emphasis requires a non-empty signal")
@@ -82,10 +82,10 @@ def stack_frames(
     and a signal shorter than one frame is an error.  With padding the
     signal is extended with zeros so every sample lands in some frame.
     """
-    for name, dur in (("frame_length", frame_length_s), ("frame_stride", frame_stride_s)):
-        require_real(name, dur)
-        if not 0.0 < dur < math.inf:
-            raise InvalidParameterError(f"{name} must be positive and finite, got {dur}")
+    require_type("signal", signal, AudioBuffer)
+    require_positive("frame_length", frame_length_s)
+    require_positive("frame_stride", frame_stride_s)
+    require_flag("zero_padding", zero_padding)
 
     fs = signal.sampling_frequency
     length = _seconds_to_samples(frame_length_s, fs)
@@ -130,8 +130,7 @@ def window_function(kind: str, length: int) -> np.ndarray:
 
     Cached per (kind, length) and shared between callers, so read-only.
     """
-    if kind not in WINDOW_TYPES:
-        raise InvalidParameterError(f"unknown window {kind!r}")
+    require_window(kind)
     require_int("length", length)
     if length < 1:
         raise InvalidParameterError(f"window length must be >= 1, got {length}")
@@ -159,6 +158,7 @@ def _window(kind: str, length: int) -> np.ndarray:
 
 def apply_window(frames: FrameMatrix, window: str = "rectangular") -> FrameMatrix:
     """Multiply every frame elementwise by the chosen window."""
+    require_type("frames", frames, FrameMatrix)
     w = window_function(window, frames.frame_length)
     return FrameMatrix(
         data=frames.data * w,

@@ -12,11 +12,11 @@ oracle the test suite checks the spectra against.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import as_real_array, require_fft_length, require_flag, require_type
 from .errors import InvalidFftLengthError
 from .preprocess import FrameMatrix
 
@@ -42,22 +42,17 @@ class SpectrumMatrix:
 
 def naive_dft(frame) -> np.ndarray:
     """DFT by its definition: X[k] = sum_n x[n] exp(-2*pi*i*k*n/N)."""
-    x = np.asarray(frame, dtype=np.float64)
+    x = np.asarray(as_real_array("frame", frame, (1,)), dtype=np.float64)
     n = len(x)
     grid = np.outer(np.arange(n), np.arange(n))
     return np.exp(-2j * np.pi * grid / n) @ x
-
-
-def require_fft_length(n) -> None:
-    """Raise InvalidFftLengthError unless n is a power of two: 1, 2, 4, ..., not a bool."""
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1 or n & (n - 1):
-        raise InvalidFftLengthError(f"fft_length {n} is not a power of two")
 
 
 def _half_spectra(frames: FrameMatrix, fft_length: int, fill) -> np.ndarray:
     """Check N, then run rfft over each block of frames and let
     ``fill(X, out_rows)`` write the block's rows of the T x (N/2 + 1)
     result from its half spectrum X."""
+    require_type("frames", frames, FrameMatrix)
     require_fft_length(fft_length)
     if fft_length < frames.frame_length:
         raise InvalidFftLengthError(
@@ -104,6 +99,7 @@ def log_power_spectrum(
     frames: FrameMatrix, fft_length: int, normalize: bool = True
 ) -> SpectrumMatrix:
     """Power spectrum in dB, floored at -300 dB; optionally shifted to max 0."""
+    require_flag("normalize", normalize)
     power = power_spectrum(frames, fft_length)
     log_power = 10.0 * np.log10(np.maximum(power.data, POWER_FLOOR))
     if normalize:

@@ -40,6 +40,8 @@ BAD_CONFIG_FIELDS = [
     ("frame_stride_s", "0.01"),
     ("window", "bogus"),
     ("num_filters", 0),
+    ("zero_padding", "no"),
+    ("dc_elimination", np.array([0, 1])),
 ]
 
 
@@ -136,6 +138,11 @@ class TestDct:
             np.linalg.norm(row), abs=1e-12
         )
 
+    @pytest.mark.parametrize("row", [[], np.zeros(0)], ids=["list", "array"])
+    def test_empty_row(self, row):
+        with pytest.raises(InvalidParameterError, match="non-empty row"):
+            dct_ii_ortho(row)
+
 
 class TestMfe:
     def test_silence_floored(self):
@@ -179,6 +186,12 @@ class TestMfe:
 
     def test_config_accepts_numpy_integers(self):
         FeatureConfig(fft_length=np.int64(256), num_filters=np.int32(26)).validate()
+
+    def test_config_accepts_numpy_bools(self):
+        config = FeatureConfig(dc_elimination=np.True_, zero_padding=np.False_)
+        expected = FeatureConfig(dc_elimination=True, zero_padding=False)
+        signal = noise_frames(20)
+        assert mfcc(signal, config).data.tobytes() == mfcc(signal, expected).data.tobytes()
 
     def test_filterbank_looked_up_every_call_and_shared(self, monkeypatch):
         import spfeat.features as features

@@ -33,23 +33,28 @@ def test_sources_found():
     assert {p.stem for p in SOURCES} >= {"preprocess", "spectrum", "features", "cli"}
 
 
+def test_numbers_imported_only_by_checks():
+    imports = _sites(lambda n: (isinstance(n, ast.Import)
+                                and any(a.name == "numbers" for a in n.names))
+                     or (isinstance(n, ast.ImportFrom) and n.module == "numbers"))
+    assert imports == {"_checks:<module>"}
+
+
 def test_integer_rule_has_one_home():
-    # AudioBuffer and validate_win_size keep their own test because they
-    # raise InvalidSignalError and InvalidWindowError, not the base class
     integral = _sites(lambda n: (isinstance(n, ast.Attribute) and n.attr == "Integral")
                       or (isinstance(n, ast.Name) and n.id == "Integral"))
-    assert integral == {
-        "preprocess:require_int",
-        "spectrum:require_fft_length",
-        "audio_io:AudioBuffer.__post_init__",
-        "postprocess:validate_win_size",
-    }
+    assert integral == {"_checks:require_int", "_checks:require_fft_length"}
 
 
 @pytest.mark.parametrize("text, homes", [
-    ("is not a power of two", {"spectrum:require_fft_length"}),
-    ("must be an integer, got", {"preprocess:require_int", "postprocess:validate_win_size"}),
-], ids=["power-of-two", "integer"])
+    ("is not a power of two", {"_checks:require_fft_length"}),
+    ("must be an integer, got", {"_checks:require_int"}),
+    ("array of reals", {"_checks:as_real_array"}),
+    ("must be finite", {"_checks:as_real_array"}),
+    ("positive and finite", {"_checks:require_positive"}),
+    ("alpha must be in", {"preprocess:require_alpha"}),
+    ("unknown window", {"preprocess:require_window"}),
+], ids=["power-of-two", "integer", "real-array", "finite", "positive", "alpha", "window"])
 def test_message_raised_in_one_place(text, homes):
     sites = _sites(lambda n: isinstance(n, ast.Constant) and isinstance(n.value, str)
                    and text in n.value)
