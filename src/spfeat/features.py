@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -14,15 +15,15 @@ from .audio_io import AudioBuffer
 from .errors import InvalidParameterError
 from .mel_filterbank import build_filterbank
 from .preprocess import apply_window, pre_emphasis, require_alpha, require_window, stack_frames
-from .spectrum import power_spectrum
+from .spectrum import ROW_BLOCK, power_spectrum
 
 # Floor for filterbank energies and frame energies, avoids log(0).
 ENERGY_FLOOR = float(np.finfo(np.float64).eps)
 
 # Frames per block in mfe, so the windowed frames and the power spectrum
-# exist one block at a time.  A multiple of spectrum.ROW_BLOCK, so the FFT
-# splits every full block into whole row blocks.
-MFE_BLOCK = 1024
+# exist one block at a time.  Whole row blocks, so the FFT splits every
+# full block without a short remainder.
+MFE_BLOCK = 16 * ROW_BLOCK
 
 
 @dataclass(frozen=True)
@@ -42,21 +43,26 @@ class FeatureMatrix:
         return self.data.shape[0]
 
 
+def _stage_default(stage, name: str):
+    """The default that a stage function declares for its parameter name."""
+    return inspect.signature(stage).parameters[name].default
+
+
 @dataclass(frozen=True)
 class FeatureConfig:
     """All pipeline parameters in one record, checked when it is built."""
 
-    alpha: float = 0.97
-    frame_length_s: float = 0.020
-    frame_stride_s: float = 0.010
-    window: str = "rectangular"
+    alpha: float = _stage_default(pre_emphasis, "alpha")
+    frame_length_s: float = _stage_default(stack_frames, "frame_length_s")
+    frame_stride_s: float = _stage_default(stack_frames, "frame_stride_s")
+    window: str = _stage_default(apply_window, "window")
     fft_length: int = 512
     num_filters: int = 40
     num_cepstral: int = 13
-    low_freq: float = 0.0
-    high_freq: float | None = None  # None means fs/2
+    low_freq: float = _stage_default(build_filterbank, "low_freq")
+    high_freq: float | None = _stage_default(build_filterbank, "high_freq")  # None means fs/2
     dc_elimination: bool = False
-    zero_padding: bool = True
+    zero_padding: bool = _stage_default(stack_frames, "zero_padding")
 
     def __post_init__(self):
         self.validate()

@@ -18,6 +18,7 @@ from ._checks import as_real_array, require_fft_length, require_int, require_pos
 from .errors import (
     DegenerateFilterError,
     InvalidBandError,
+    InvalidParameterError,
     NegativeFrequencyError,
     NegativeMelError,
 )
@@ -54,7 +55,11 @@ def mel_to_hz(m):
     m = np.asarray(as_real_array("m", m, None), dtype=np.float64)
     if np.any(m < 0):
         raise NegativeMelError("mel value must be >= 0")
-    return _MEL_BREAK_HZ * (10.0 ** (m / _MEL_SCALE) - 1.0)
+    with np.errstate(over="ignore"):
+        f = _MEL_BREAK_HZ * (10.0 ** (m / _MEL_SCALE) - 1.0)
+    if not np.all(np.isfinite(f)):
+        raise InvalidParameterError("mel value too large: its frequency overflows float64")
+    return f
 
 
 def build_filterbank(

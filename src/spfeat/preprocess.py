@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +19,9 @@ from ._checks import require_flag, require_int, require_positive, require_real, 
 from .audio_io import AudioBuffer
 from .errors import EmptySignalError, FrameTooLongError, InvalidParameterError
 
-WINDOW_TYPES = ("rectangular", "hamming", "hanning")
+# generalized cosine windows: w[n] = a0 - a1 * cos(2*pi*n / (L - 1))
+_WINDOWS = {"rectangular": (1.0, 0.0), "hamming": (0.54, 0.46), "hanning": (0.5, 0.5)}
+WINDOW_TYPES = tuple(_WINDOWS)
 
 
 @dataclass(frozen=True)
@@ -28,12 +30,15 @@ class FrameMatrix:
 
     data: np.ndarray
     sampling_frequency: int
-    frame_length: int
     frame_stride: int
 
     @property
     def num_frames(self) -> int:
         return self.data.shape[0]
+
+    @property
+    def frame_length(self) -> int:
+        return self.data.shape[1]
 
 
 def require_alpha(alpha) -> None:
@@ -117,12 +122,7 @@ def stack_frames(
     step = x.itemsize
     frames = np.ndarray((num_frames, length), x.dtype, x, strides=(stride * step, step))
     frames.flags.writeable = False
-    return FrameMatrix(
-        data=frames,
-        sampling_frequency=fs,
-        frame_length=length,
-        frame_stride=stride,
-    )
+    return FrameMatrix(data=frames, sampling_frequency=fs, frame_stride=stride)
 
 
 def window_function(kind: str, length: int) -> np.ndarray:
@@ -139,16 +139,13 @@ def window_function(kind: str, length: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _window(kind: str, length: int) -> np.ndarray:
-    if kind == "rectangular" or length == 1:
-        w = np.ones(length)
+    if length == 1:
+        w = np.ones(1)
     else:
         # evaluate the first half and mirror it so symmetry is exact
+        a0, a1 = _WINDOWS[kind]
         half = (length + 1) // 2
-        phase = 2.0 * np.pi * np.arange(half) / (length - 1)
-        if kind == "hamming":
-            head = 0.54 - 0.46 * np.cos(phase)
-        else:
-            head = 0.5 - 0.5 * np.cos(phase)
+        head = a0 - a1 * np.cos(2.0 * np.pi * np.arange(half) / (length - 1))
         w = np.empty(length)
         w[:half] = head
         w[half:] = head[: length - half][::-1]
@@ -160,9 +157,4 @@ def apply_window(frames: FrameMatrix, window: str = "rectangular") -> FrameMatri
     """Multiply every frame elementwise by the chosen window."""
     require_type("frames", frames, FrameMatrix)
     w = window_function(window, frames.frame_length)
-    return FrameMatrix(
-        data=frames.data * w,
-        sampling_frequency=frames.sampling_frequency,
-        frame_length=frames.frame_length,
-        frame_stride=frames.frame_stride,
-    )
+    return replace(frames, data=frames.data * w)

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -183,6 +185,26 @@ class TestMfe:
         # no validate() call: an invalid config cannot exist
         with pytest.raises(InvalidParameterError):
             FeatureConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, stage, literal", [
+        ("alpha", pre_emphasis, 0.97),
+        ("frame_length_s", stack_frames, 0.020),
+        ("frame_stride_s", stack_frames, 0.010),
+        ("window", apply_window, "rectangular"),
+        ("fft_length", None, 512),
+        ("num_filters", None, 40),
+        ("num_cepstral", None, 13),
+        ("low_freq", build_filterbank, 0.0),
+        ("high_freq", build_filterbank, None),
+        ("dc_elimination", None, False),
+        ("zero_padding", stack_frames, True),
+    ])
+    def test_config_defaults_are_the_stages(self, field, stage, literal):
+        default = {f.name: f.default for f in dataclasses.fields(FeatureConfig)}[field]
+        assert (type(default), default) == (type(literal), literal)
+        assert getattr(FeatureConfig(), field) == literal
+        if stage is not None:
+            assert default is inspect.signature(stage).parameters[field].default
 
     def test_config_accepts_numpy_integers(self):
         FeatureConfig(fft_length=np.int64(256), num_filters=np.int32(26)).validate()

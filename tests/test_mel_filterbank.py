@@ -45,6 +45,26 @@ class TestMelScale:
         with pytest.raises(NegativeMelError):
             mel_to_hz(-1)
 
+    @pytest.mark.parametrize("m", [1e6, [1.0, 1e6], 1e300])
+    def test_overflowing_mel_raises(self, m):
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            mel_to_hz(m)
+
+    def test_largest_frequency_round_trips(self):
+        assert np.isfinite(mel_to_hz(hz_to_mel(1e300)))
+
+    @pytest.mark.parametrize("args", [
+        (40, 512, 16000), (26, 512, 8000), (40, 1024, 16000, 300.0, 7000.0)
+    ])
+    def test_filterbank_edges_match_formula(self, args):
+        # the unguarded f = 700 * (10^(m/2595) - 1), endpoints pinned as in build_filterbank
+        bank = build_filterbank(*args)
+        low, high = args[3:] or (0.0, args[2] / 2)
+        mels = np.linspace(hz_to_mel(low), hz_to_mel(high), args[0] + 2)
+        edges = 700.0 * (10.0 ** (mels / 2595.0) - 1.0)
+        edges[0], edges[-1] = low, high
+        assert bank.center_frequencies.tobytes() == edges.tobytes()
+
 
 class TestBuildFilterbank:
     def test_single_triangle(self):

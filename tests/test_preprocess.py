@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from spfeat.audio_io import AudioBuffer
 from spfeat.errors import EmptySignalError, FrameTooLongError, InvalidParameterError
-from spfeat.preprocess import apply_window, pre_emphasis, stack_frames, window_function
+from spfeat.preprocess import (
+    FrameMatrix, apply_window, pre_emphasis, stack_frames, window_function
+)
 
 
 def buf(samples, fs=1000):
@@ -200,6 +202,13 @@ class TestApplyWindow:
             window_function("hanning", 7).tobytes()
         )
 
+    @pytest.mark.parametrize("kind", ["rectangular", "hamming", "hanning"])
+    def test_hand_built_frames(self, kind):
+        frames = FrameMatrix(np.ones((3, 5)), 16000, 1)
+        out = apply_window(frames, kind)
+        assert out.data.shape == (3, 5) and out.frame_length == 5 and out.frame_stride == 1
+        assert out.data.tobytes() == np.tile(window_function(kind, 5), (3, 1)).tobytes()
+
 
 def window_uncached(kind, length):
     """Oracle: the window computed afresh on every call."""
@@ -232,6 +241,14 @@ class TestBitwiseAgainstEarlierForms:
         assert not w.flags.writeable
         with pytest.raises(ValueError):
             w[0] = 2.0
+
+    @pytest.mark.parametrize("kind", ["rectangular", "hamming", "hanning"])
+    def test_window_table_matches_branches(self, kind):
+        # window_uncached keeps the earlier per-kind branches; every length a
+        # frame of up to 128 ms at 16 kHz can have
+        for length in range(1, 2049):
+            expected = window_uncached(kind, length)
+            assert window_function(kind, length).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("num_frames", [1, 63, 64, 65, 1024, 1025])
     @pytest.mark.parametrize("fs", [8000, 16000])

@@ -1,4 +1,4 @@
-"""Each parameter rule has one implementation in the package source."""
+"""Each parameter rule and frame-path fact has one home in the package source."""
 
 import ast
 from pathlib import Path
@@ -65,3 +65,39 @@ def test_config_validated_only_when_built():
     calls = _sites(lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
                    and n.func.attr == "validate")
     assert calls == {"features:FeatureConfig.__post_init__"}
+
+
+def _tree(module):
+    return ast.parse(next(p for p in SOURCES if p.stem == module).read_text())
+
+
+def _named(tree, kind, name):
+    return next(n for n in ast.walk(tree) if isinstance(n, kind) and n.name == name)
+
+
+def test_window_kernel_names_no_window():
+    window = _named(_tree("preprocess"), ast.FunctionDef, "_window")
+    compared = [c for n in ast.walk(window) if isinstance(n, ast.Compare)
+                for c in [n.left, *n.comparators] if isinstance(c, ast.Constant)]
+    assert not [c.value for c in compared if isinstance(c.value, str)]
+
+
+def test_window_names_only_in_the_table():
+    table = next(n.value for n in ast.walk(_tree("preprocess")) if isinstance(n, ast.Assign)
+                 and [getattr(t, "id", None) for t in n.targets] == ["_WINDOWS"])
+    names = ("hamming", "hanning")
+    keys = [k.value for k in table.keys if k.value in names]
+    anywhere = [n.value for p in SOURCES for n in ast.walk(ast.parse(p.read_text()))
+                if isinstance(n, ast.Constant) and n.value in names]
+    assert sorted(keys) == sorted(anywhere) == sorted(names)
+
+
+STAGE_DEFAULTS = ("alpha", "frame_length_s", "frame_stride_s", "window",
+                  "low_freq", "high_freq", "zero_padding")
+
+
+def test_stage_defaults_not_restated_in_config():
+    config = _named(_tree("features"), ast.ClassDef, "FeatureConfig")
+    defaults = {n.target.id: n.value for n in config.body if isinstance(n, ast.AnnAssign)}
+    assert set(STAGE_DEFAULTS) <= set(defaults)
+    assert not [f for f in STAGE_DEFAULTS if isinstance(defaults[f], ast.Constant)]

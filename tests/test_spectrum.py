@@ -3,7 +3,7 @@ import pytest
 
 from spfeat.audio_io import AudioBuffer
 from spfeat.errors import InvalidFftLengthError
-from spfeat.preprocess import apply_window, stack_frames
+from spfeat.preprocess import FrameMatrix, apply_window, stack_frames
 from spfeat.spectrum import (
     ROW_BLOCK,
     fft_magnitude,
@@ -92,6 +92,13 @@ class TestPowerSpectrum:
         rng = np.random.default_rng(7)
         out = power_spectrum(frames_of(rng.normal(size=(20, 32))), 32)
         assert np.all(out.data >= 0)
+
+    def test_hand_built_frames_longer_than_fft(self):
+        # the frame length is the data's width, so 5-sample rows are not cut to 4
+        frames = FrameMatrix(np.ones((3, 5)), 16000, 1)
+        assert frames.frame_length == 5
+        with pytest.raises(InvalidFftLengthError, match="shorter than frame length 5"):
+            power_spectrum(frames, 4)
 
 
 class TestLogPowerSpectrum:
