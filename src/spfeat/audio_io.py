@@ -25,6 +25,16 @@ from .errors import (
 # mapping linear and exactly representable; +full-scale lands at 32767/32768.
 _FULL_SCALE = 32768.0
 
+# The largest |sample| a float buffer may hold.  Pre-emphasis keeps
+# |y| <= 2B, so a power bin is at most N * (2B)**2 and an mfe value (filter
+# weights <= 1 over N/2 + 1 bins) at most N**2 * (2B)**2; deltas stay within
+# that.  cmvn's variance squares centred values and sums them over T frames,
+# at most 64 * T * N**4 * B**4, which B = 1e50 keeps below float64's 1.8e308
+# for any N and T that fit in memory.  Integer dtypes cannot reach B.  The
+# pre-emphasized signal is an AudioBuffer too, so a signal whose pre-emphasis
+# exceeds B (|x| above B / 2 at worst) is rejected there.
+_MAX_SAMPLE = 1e50
+
 
 @dataclass(frozen=True)
 class AudioBuffer:
@@ -37,6 +47,10 @@ class AudioBuffer:
         require_int("sampling_frequency", self.sampling_frequency, InvalidSignalError)
         require_positive("sampling_frequency", self.sampling_frequency, InvalidSignalError)
         samples = as_real_array("samples", self.samples, (1,), InvalidSignalError)
+        if samples.dtype.kind == "f" and samples.size:
+            peak = float(max(-samples.min(), samples.max()))  # float32 cannot hold 1e50
+            if peak > _MAX_SAMPLE:
+                raise InvalidSignalError(f"|samples| must be <= {_MAX_SAMPLE:g}, got {peak:g}")
         # frozen: store the array form, so a list or tuple works downstream
         object.__setattr__(self, "samples", samples)
 

@@ -71,14 +71,15 @@ _OPTIONS = {
 
 @dataclass
 class JobSpec:
-    inputs: list[Path]
+    # the options that are not FeatureConfig fields, under their own names
     feature: str
-    config: FeatureConfig
+    input: list[str]
+    output_dir: str
+    format: str
     postprocess: str
     win_size: int
     derivatives: bool
-    output_dir: Path
-    format: str
+    config: FeatureConfig
 
 
 @dataclass
@@ -87,23 +88,8 @@ class Summary:
     files_failed: int
 
 
-def _parse_value(kind, text: str):
-    """Parse one config-file value as the option's type or choice."""
-    text = text.strip()
-    if kind is list:
-        return text.split()
-    if kind is bool:
-        lowered = text.lower()
-        if lowered in ("true", "1", "on", "yes"):
-            return True
-        if lowered in ("false", "0", "off", "no"):
-            return False
-        raise ValueError(f"not a boolean: {text!r}")
-    if isinstance(kind, tuple):
-        if text not in kind:
-            raise ValueError(f"must be one of {', '.join(kind)}")
-        return text
-    return kind(text)
+_SWITCH_WORDS = {"true": True, "1": True, "on": True, "yes": True,
+                 "false": False, "0": False, "off": False, "no": False}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,12 +98,16 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidValueError(message)
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="extract", description="Batch speech feature extraction")
     for name, (source, kind) in _OPTIONS.items():
         default = source.default if isinstance(source, Field) else source
         parser.set_defaults(**{name: default})
-        flag = "--" + name.replace("_", "-")
+        flag = _flag(name)
         if kind is bool:
             flag = "--no-" + flag[2:] if default else flag
             parser.add_argument(flag, dest=name, action="store_const", const=not default)
@@ -131,8 +121,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_config_file(path) -> dict:
-    """Line-oriented ``key = value`` file; '#' starts a comment."""
+def _read_config_file(path, parser: _Parser) -> dict:
+    """Line-oriented ``key = value`` file; '#' starts a comment.  A value reads
+    as its flag does: a switch takes a word of _SWITCH_WORDS, input splits."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -145,14 +136,22 @@ def _read_config_file(path) -> dict:
             continue
         if "=" not in line:
             raise InvalidValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        dest = key.strip().replace("-", "_")
+        key, _, value = (part.strip() for part in line.partition("="))
+        dest = key.replace("-", "_")
         if dest not in _OPTIONS:
-            raise UnknownKeyError(f"{path}:{lineno}: unknown key {key.strip()!r}")
+            raise UnknownKeyError(f"{path}:{lineno}: unknown key {key!r}")
+        kind = _OPTIONS[dest][1]
         try:
-            values[dest] = _parse_value(_OPTIONS[dest][1], value)
-        except ValueError as exc:
-            raise InvalidValueError(f"{path}:{lineno}: {key.strip()}: {exc}") from exc
+            if kind is list:
+                values[dest] = value.split()
+            elif kind is bool:
+                if value.lower() not in _SWITCH_WORDS:
+                    raise InvalidValueError(f"not a boolean: {value!r}")
+                values[dest] = _SWITCH_WORDS[value.lower()]
+            else:  # the = form keeps a leading '-' as the value
+                values[dest] = getattr(parser.parse_args([f"{_flag(dest)}={value}"]), dest)
+        except InvalidValueError as exc:
+            raise InvalidValueError(f"{path}:{lineno}: {key}: {exc}") from exc
     return values
 
 
@@ -162,7 +161,7 @@ def parse_config(argv) -> JobSpec:
     args = parser.parse_args(argv)
     if args.config is not None:
         # config-file values replace the defaults, so flags still win
-        parser.set_defaults(**_read_config_file(args.config))
+        parser.set_defaults(**_read_config_file(args.config, parser))
         args = parser.parse_args(argv)
 
     if args.feature is None:
@@ -172,25 +171,14 @@ def parse_config(argv) -> JobSpec:
     try:
         if args.postprocess.startswith("cmvnw"):
             postprocess.validate_win_size(args.win_size)
-        config = FeatureConfig(
-            **{src.name: getattr(args, name) for name, (src, _) in _OPTIONS.items()
-               if isinstance(src, Field)}
-        )
+        config = FeatureConfig(**{src.name: getattr(args, name) for name, (src, _)
+                                  in _OPTIONS.items() if isinstance(src, Field)})
         if args.feature == "mfcc":
             config.validate_dc_elimination()
     except InvalidParameterError as exc:
         raise InvalidValueError(str(exc)) from exc
-
-    return JobSpec(
-        inputs=[Path(p) for p in args.input],
-        feature=args.feature,
-        config=config,
-        postprocess=args.postprocess,
-        win_size=args.win_size,
-        derivatives=args.derivatives,
-        output_dir=Path(args.output_dir),
-        format=args.format,
-    )
+    return JobSpec(config=config, **{name: getattr(args, name) for name, (src, _)
+                                     in _OPTIONS.items() if not isinstance(src, Field)})
 
 
 @contextmanager
@@ -257,11 +245,9 @@ def _process_file(wav_path: Path, spec: JobSpec, out_path: Path) -> None:
         write_spfe(features, out_path)
 
 
-def run_extract(spec: JobSpec, stderr=None) -> Summary:
+def run_extract(spec: JobSpec) -> Summary:
     """Process every input file, isolating per-file failures."""
-    if stderr is None:
-        stderr = sys.stderr
-    files = _expand_inputs(spec.inputs)
+    files = _expand_inputs([Path(p) for p in spec.input])
     if not files:
         raise MissingInputError("no .wav files found in input")
 
@@ -273,22 +259,23 @@ def run_extract(spec: JobSpec, stderr=None) -> Summary:
             )
         stems[path.stem] = path
 
+    output_dir = Path(spec.output_dir)
     try:
-        spec.output_dir.mkdir(parents=True, exist_ok=True)
-        probe = spec.output_dir / ".write-probe"
+        output_dir.mkdir(parents=True, exist_ok=True)
+        probe = output_dir / ".write-probe"
         probe.touch()
         probe.unlink()
     except OSError as exc:
-        raise OutputDirUnwritableError(f"{spec.output_dir}: {exc}") from exc
+        raise OutputDirUnwritableError(f"{output_dir}: {exc}") from exc
 
     ok = failed = 0
     for path in files:
-        out_path = spec.output_dir / f"{path.stem}.{spec.format}"
+        out_path = output_dir / f"{path.stem}.{spec.format}"
         try:
             _process_file(path, spec, out_path)
             ok += 1
         except (SpfeatError, OSError) as exc:
-            print(f"FAIL {path}: {exc}", file=stderr)
+            print(f"FAIL {path}: {exc}", file=sys.stderr)
             failed += 1
     print(f"OK={ok} FAIL={failed}")
     return Summary(files_ok=ok, files_failed=failed)

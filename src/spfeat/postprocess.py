@@ -21,7 +21,10 @@ FRAME_BLOCK = 1024
 
 def _as_array(features, name, ndims):
     data = features.data if isinstance(features, FeatureMatrix) else features
-    return np.asarray(as_real_array(name, data, ndims), dtype=np.float64)
+    x = np.asarray(as_real_array(name, data, ndims), dtype=np.float64)
+    if x.shape[0] == 0:
+        raise EmptyFeaturesError(f"{name} must have at least one frame")
+    return x
 
 
 def _wrap(features, data):
@@ -37,8 +40,6 @@ def cmvn(features, variance_normalization: bool = False):
     x = _as_array(features, "features (a T x D matrix or a vector)", (1, 2))
     require_flag("variance_normalization", variance_normalization)
     num_frames = x.shape[0]
-    if num_frames == 0:
-        raise EmptyFeaturesError("cmvn requires at least one frame")
     y = x - x.mean(axis=0)
     if variance_normalization:
         # x.std(axis=0)'s own steps on the already centred y: sum of squares
@@ -76,8 +77,6 @@ def cmvnw(
     x = _as_array(features, "features (a T x D matrix)", (2,))
     require_flag("variance_normalization", variance_normalization)
     num_frames = x.shape[0]
-    if num_frames == 0:
-        raise EmptyFeaturesError("cmvnw requires at least one frame")
 
     half = win_size // 2
     padded = np.pad(x, ((half, half), (0, 0)), mode="edge")

@@ -252,3 +252,52 @@ def test_audio_buffer_accepts_sequences(container):
 
 def test_audio_buffer_accepts_numpy_integer_rate():
     assert AudioBuffer(np.zeros(4), np.int32(8000)).sampling_frequency == 8000
+
+
+HUGE = [
+    np.random.default_rng(7).uniform(-1e200, 1e200, 4000),
+    np.full(4000, 1.5e308),
+    np.full(4000, -1.5e308),
+    np.r_[np.zeros(3999), np.nextafter(1e50, np.inf)],
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("samples", HUGE, ids=["uniform-1e200", "+1.5e308", "-1.5e308",
+                                               "just-above-bound"])
+def test_audio_buffer_rejects_samples_too_large_for_the_features(samples):
+    from spfeat import mfcc
+
+    with pytest.raises(InvalidSignalError, match="samples"):
+        AudioBuffer(samples, 16000)
+    with pytest.raises(InvalidSignalError, match="samples"):
+        mfcc(AudioBuffer(samples, 16000))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("samples", [
+    (np.random.default_rng(8).uniform(-1, 1, 16000) * 30000).astype(np.int16),
+    np.random.default_rng(9).uniform(-1e6, 1e6, 16000),
+    # B / 2: the pre-emphasized signal, at most twice as large, is checked too
+    np.random.default_rng(10).uniform(-0.5e50, 0.5e50, 16000),
+], ids=["int16-30000", "float-1e6", "float-at-half-bound"])
+def test_samples_within_the_bound_give_finite_features(samples):
+    from spfeat import cmvn, cmvnw, extract_derivative, lmfe, mfcc, mfe
+
+    signal = AudioBuffer(samples, 16000)
+    for feature in (mfcc, mfe, lmfe):
+        stacked = extract_derivative(feature(signal))
+        for out in (stacked, cmvn(stacked, variance_normalization=True),
+                    cmvnw(stacked, win_size=31, variance_normalization=True)):
+            assert np.isfinite(out.data).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_pre_emphasis_beyond_the_bound_is_a_typed_error():
+    from spfeat import mfcc
+
+    signal = AudioBuffer(np.resize([0.9e50, -0.9e50], 4000), 16000)
+    with pytest.raises(InvalidSignalError, match="samples"):
+        pre_emphasis(signal)
+    with pytest.raises(InvalidSignalError, match="samples"):
+        mfcc(signal)

@@ -3,6 +3,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import Field
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -21,6 +22,7 @@ from spfeat.cli import (
     write_spfe,
 )
 from spfeat.errors import (
+    CliError,
     InvalidValueError,
     MissingInputError,
     OutputCollisionError,
@@ -168,6 +170,107 @@ class TestParseConfig:
                      "--dc-elimination", "--num-cepstral", "40"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "OK=2 FAIL=0"
+
+
+def _outcome(argv):
+    try:
+        return parse_config(argv)
+    except CliError:
+        return "rejected"
+
+
+def _base_argv(without):
+    base = {"feature": ["--feature", "mfcc"], "input": ["--input", "a.wav"]}
+    return [arg for name, args in base.items() if name != without for arg in args]
+
+
+SWITCHES = [name for name, (_, kind) in cli._OPTIONS.items() if kind is bool]
+AGREEMENT_TEXTS = ["7", " 7 ", "-5", "1e3", "x", ""]
+
+
+class TestConfigFileReadsAsFlags:
+    @pytest.mark.parametrize("name, text", [
+        (name, text) for name, (_, kind) in cli._OPTIONS.items() if kind is not bool
+        # a choice option also gets one of its choices
+        for text in AGREEMENT_TEXTS + (list(kind[-1:]) if isinstance(kind, tuple) else [])
+    ])
+    def test_file_value_and_flag_agree(self, tmp_path, name, text):
+        kind = cli._OPTIONS[name][1]
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"{name} = {text}\n")
+        # the file drops the blanks around a value; a list splits into words
+        flag = "--" + name.replace("_", "-")
+        given = [flag, *text.split()] if kind is list else [f"{flag}={text.strip()}"]
+        from_file = _outcome(_base_argv(name) + ["--config", str(cfg)])
+        assert from_file == _outcome(_base_argv(name) + given)
+
+    @pytest.mark.parametrize("word, value", [
+        ("true", True), ("1", True), ("On", True), ("YES", True),
+        ("False", False), ("0", False), ("off", False), ("nO", False),
+    ])
+    @pytest.mark.parametrize("name", SWITCHES)
+    def test_switch_words(self, tmp_path, name, word, value):
+        default = cli._OPTIONS[name][0]
+        default = getattr(default, "default", default)
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"{name} = {word}\n")
+        flag = "--" + ("no-" if default else "") + name.replace("_", "-")
+        given = [flag] if value != default else []
+        from_file = parse_config(_base_argv(None) + ["--config", str(cfg)])
+        assert from_file == parse_config(_base_argv(None) + given)
+
+    def test_every_option_non_default(self, tmp_path):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(
+            "feature = lmfe\ninput = a.wav  b.wav\noutput_dir = feats\nformat = spfe\n"
+            "frame_length = 0.025\nframe-stride = 0.015\nfft_length = 1024\n"
+            "num_filters = 26\nnum_cepstral = 12\nlow_freq = 100\nhigh_freq = 6000\n"
+            "window = hamming\npre_emphasis = 0.9\ndc_elimination = yes\n"
+            "zero_padding = off\npostprocess = cmvnw_var\nwin_size = 101\nderivatives = on\n"
+        )
+        flags = [
+            "--feature", "lmfe", "--input", "a.wav", "b.wav", "--output-dir", "feats",
+            "--format", "spfe", "--frame-length", "0.025", "--frame-stride", "0.015",
+            "--fft-length", "1024", "--num-filters", "26", "--num-cepstral", "12",
+            "--low-freq", "100", "--high-freq", "6000", "--window", "hamming",
+            "--pre-emphasis", "0.9", "--dc-elimination", "--no-zero-padding",
+            "--postprocess", "cmvnw_var", "--win-size", "101", "--derivatives",
+        ]
+        from_file = parse_config(["--config", str(cfg)])
+        assert from_file == parse_config(flags)
+        defaults = parse_config(_base_argv(None))
+
+        def value(spec, name):
+            source = cli._OPTIONS[name][0]
+            if isinstance(source, Field):
+                return getattr(spec.config, source.name)
+            return getattr(spec, name)
+
+        assert [n for n in cli._OPTIONS if value(from_file, n) == value(defaults, n)] == []
+
+    @pytest.mark.parametrize("line", [
+        "num_filters = many", "window = square", "zero_padding = maybe",
+        "frame_length = -", "format = ",
+    ])
+    def test_bad_value_exits_2_with_its_line(self, tmp_path, capsys, line):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"# job\n{line}\n")
+        code = main(["--feature", "mfcc", "--input", "a.wav", "--config", str(cfg),
+                     "--output-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {cfg}:2: {line.partition(' =')[0]}: ")
+
+    def test_bad_value_reads_like_the_flag_error(self, tmp_path):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("num_filters = many\n")
+        with pytest.raises(InvalidValueError) as from_flag:
+            parse_config(_base_argv(None) + ["--num-filters=many"])
+        with pytest.raises(InvalidValueError) as from_file:
+            parse_config(_base_argv(None) + ["--config", str(cfg)])
+        assert str(from_file.value) == f"{cfg}:1: num_filters: {from_flag.value}"
 
 
 class TestWriteCsv:
@@ -536,6 +639,21 @@ class TestRunExtract:
                      "--output-dir", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == f"FAIL {empty}: empty data chunk\n"
+
+    @pytest.mark.parametrize("below", [None, "sub"])
+    def test_output_dir_that_is_a_file_exits_2(self, fixture_dir, tmp_path, capsys, below):
+        (tmp_path / "outs").mkdir()
+        blocker = tmp_path / "outs" / "out"
+        blocker.write_bytes(b"not a directory\n")
+        out_dir = blocker / below if below else blocker
+        code = main(["--feature", "mfcc", "--input", str(fixture_dir),
+                     "--output-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "OK=" not in captured.out
+        assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {out_dir}: ")
+        assert blocker.read_bytes() == b"not a directory\n"
+        assert list(blocker.parent.iterdir()) == [blocker]
 
     def test_exit_code_2_on_bad_flags(self, capsys):
         assert main(["--feature", "mfcc"]) == 2

@@ -101,3 +101,25 @@ def test_stage_defaults_not_restated_in_config():
     defaults = {n.target.id: n.value for n in config.body if isinstance(n, ast.AnnAssign)}
     assert set(STAGE_DEFAULTS) <= set(defaults)
     assert not [f for f in STAGE_DEFAULTS if isinstance(defaults[f], ast.Constant)]
+
+
+def test_job_spec_fields_are_the_cli_only_options():
+    from dataclasses import Field, fields
+
+    from spfeat.cli import _OPTIONS, JobSpec
+
+    cli_only = {name for name, (source, _) in _OPTIONS.items() if not isinstance(source, Field)}
+    assert {f.name for f in fields(JobSpec)} == {"config"} | cli_only
+
+
+def test_run_extract_takes_only_the_spec():
+    import inspect
+
+    from spfeat.cli import run_extract
+
+    assert list(inspect.signature(run_extract).parameters) == ["spec"]
+
+
+def test_empty_features_rule_has_one_home():
+    raises = _sites(lambda n: isinstance(n, ast.Raise) and "at least one frame" in ast.unparse(n))
+    assert raises == {"postprocess:_as_array"}
