@@ -82,6 +82,7 @@ def read_wav(path) -> AudioBuffer:
     if len(blob) < 12 or blob[0:4] != b"RIFF" or blob[8:12] != b"WAVE":
         raise MalformedWavError("not a RIFF/WAVE file")
 
+    view = memoryview(blob)  # chunk bodies are views: the data chunk is never copied
     fmt = None
     data = None
     offset = 12
@@ -91,7 +92,7 @@ def read_wav(path) -> AudioBuffer:
         body_start = offset + 8
         if body_start + size > len(blob):
             raise MalformedWavError(f"truncated {chunk_id!r} chunk")
-        body = blob[body_start:body_start + size]
+        body = view[body_start:body_start + size]
         if chunk_id == b"fmt ":
             fmt = body
         elif chunk_id == b"data":

@@ -168,6 +168,8 @@ def parse_config(argv) -> JobSpec:
         raise InvalidValueError("--feature is required")
     if not args.input:
         raise MissingInputError("no input files given")
+    if "" in args.input:  # Path("") would be the current directory
+        raise MissingInputError("empty input path")
     try:
         if args.postprocess.startswith("cmvnw"):
             postprocess.validate_win_size(args.win_size)

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spfeat.cli as cli
+from spfeat import cmvn, extract_derivative, mfcc
 from spfeat._csvfmt import BLOCK_VALUES
+from spfeat.audio_io import AudioBuffer, samples_to_real
 from spfeat.cli import (
     JobSpec,
     main,
@@ -344,6 +346,36 @@ def _dyadic_values():
     return np.concatenate([odd / 2.0**j for j in (10, 20, 21, 22, 23, 24, 25, 30, 40, 50, 60, 70)])
 
 
+def _layout_values():
+    """Every digit count at every decimal point position and across the
+    exponent range, and 17-digit strings whose low digits are zeros or nines
+    at the splits of the digit text (after 1, 9 and 13 digits)."""
+    rng = np.random.default_rng(16)
+    values = []
+    for digits in range(1, 18):
+        for exponent in [*range(-7, 19), *range(-280, 281, 23)]:
+            for lead in rng.integers(10 ** (digits - 1), 10**digits, 3):
+                values.append(float(f"{lead - lead % 10 + rng.integers(1, 10)}e{exponent - digits}"))
+    for high in rng.integers(10**8, 10**9, 40):
+        for low in (0, 1, 9_999, 10_000, 10_001, 10**8 - 1):
+            values.append(float(f"{high * 10**8 + low}e{rng.integers(-30, 30)}"))
+    return np.array(values)
+
+
+def _gapped_clip(seed, fs=16000, seconds=4.0):
+    """Tone bursts between stretches of exact digital silence, as int16."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros(int(seconds * fs))
+    pos = int(0.3 * fs)
+    while pos < x.size - fs // 4:
+        m = int(rng.uniform(0.12, 0.5) * fs)
+        t = np.arange(m) / fs
+        burst = np.sin(2 * np.pi * rng.uniform(85, 255) * t) + 0.05 * rng.standard_normal(m)
+        x[pos:pos + m] = (0.2 * burst / np.abs(burst).max())[: x.size - pos]
+        pos += m + int(rng.uniform(0.05, 0.3) * fs)
+    return np.round(x * 32767).astype(np.int16)
+
+
 def _as_rows(values, cols=39):
     values = np.resize(values, -(-values.size // cols) * cols)
     return values.reshape(-1, cols)
@@ -384,6 +416,18 @@ class TestCsvMatchesRepr:
     def test_decimal_ties(self, tmp_path):
         values = _dyadic_values()
         assert_csv_matches_repr(tmp_path, _as_rows(np.concatenate([values, -values])))
+
+    def test_layout_boundaries(self, tmp_path):
+        values = _layout_values()
+        assert_csv_matches_repr(tmp_path, _as_rows(np.concatenate([values, -values])))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pipeline_features(self, tmp_path, seed):
+        # silent frames leave 1e-19 .. 1e-17 values after deltas and cmvn
+        signal = AudioBuffer(samples_to_real(_gapped_clip(seed)), 16000)
+        out = cmvn(extract_derivative(mfcc(signal)), variance_normalization=True)
+        assert np.abs(out.data[out.data != 0]).min() < 2e-18
+        assert_csv_matches_repr(tmp_path, out)
 
     @pytest.mark.parametrize("rows", [BLOCK_VALUES // 39 - 1, BLOCK_VALUES // 39,
                                       BLOCK_VALUES // 39 + 1, 2 * (BLOCK_VALUES // 39) + 3])
@@ -654,6 +698,19 @@ class TestRunExtract:
         assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {out_dir}: ")
         assert blocker.read_bytes() == b"not a directory\n"
         assert list(blocker.parent.iterdir()) == [blocker]
+
+    @pytest.mark.parametrize("inputs", [["--input="], ["--input", ""], ["--input", "alpha.wav", ""]])
+    def test_empty_input_path_exits_2(self, fixture_dir, tmp_path, capsys, monkeypatch, inputs):
+        monkeypatch.chdir(fixture_dir)  # a directory of WAVs: "" must not stand for it
+        out_dir = tmp_path / "out"
+        code = main(["--feature", "mfe", *inputs, "--output-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: empty input path\n"
+        assert not out_dir.exists()
+        with pytest.raises(MissingInputError):
+            parse_config(["--feature", "mfe", *inputs])
 
     def test_exit_code_2_on_bad_flags(self, capsys):
         assert main(["--feature", "mfcc"]) == 2
