@@ -47,8 +47,10 @@ def require_fft_length(n) -> None:
         raise InvalidFftLengthError(f"fft_length {n} is not a power of two")
 
 
-def as_real_array(name: str, value, ndims, error=InvalidParameterError) -> np.ndarray:
-    """value as a finite int/uint/float array in its own dtype, of a rank in ndims (None: any)."""
+def as_real_array(name: str, value, ndims, error=InvalidParameterError,
+                  bound=math.inf) -> np.ndarray:
+    """value as a finite int/uint/float array in its own dtype, of a rank in ndims (None: any);
+    a float array's magnitude also at most bound."""
     try:
         x = np.asarray(value)
         real = x.dtype.kind in "iuf"
@@ -58,7 +60,13 @@ def as_real_array(name: str, value, ndims, error=InvalidParameterError) -> np.nd
         raise error(f"{name} must be an array of reals, got {value!r:.80}")
     if ndims is not None and x.ndim not in ndims:
         raise error(f"{name} must be {' or '.join(f'{n}-D' for n in ndims)}, got shape {x.shape}")
-    # min and max carry NaN and inf through, so no mask the size of x is built
-    if x.dtype.kind == "f" and x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
-        raise error(f"{name} must be finite, got NaN or inf")
+    if x.dtype.kind == "f" and x.size:
+        # min and max carry NaN and inf through, so no mask the size of x is
+        # built; compared as Python floats, since float32 cannot hold every bound
+        low, high = float(x.min()), float(x.max())
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise error(f"{name} must be finite, got NaN or inf")
+        peak = max(-low, high)
+        if peak > bound:
+            raise error(f"|{name}| must be <= {bound:g}, got {peak:g}")
     return x

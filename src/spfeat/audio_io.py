@@ -25,6 +25,9 @@ from .errors import (
 # mapping linear and exactly representable; +full-scale lands at 32767/32768.
 _FULL_SCALE = 32768.0
 
+# The data chunk size a streaming writer leaves when it cannot seek back.
+_STREAMED_SIZE = 0xFFFFFFFF
+
 # The largest |sample| a float buffer may hold.  Pre-emphasis keeps
 # |y| <= 2B, so a power bin is at most N * (2B)**2 and an mfe value (filter
 # weights <= 1 over N/2 + 1 bins) at most N**2 * (2B)**2; deltas stay within
@@ -46,11 +49,7 @@ class AudioBuffer:
     def __post_init__(self):
         require_int("sampling_frequency", self.sampling_frequency, InvalidSignalError)
         require_positive("sampling_frequency", self.sampling_frequency, InvalidSignalError)
-        samples = as_real_array("samples", self.samples, (1,), InvalidSignalError)
-        if samples.dtype.kind == "f" and samples.size:
-            peak = float(max(-samples.min(), samples.max()))  # float32 cannot hold 1e50
-            if peak > _MAX_SAMPLE:
-                raise InvalidSignalError(f"|samples| must be <= {_MAX_SAMPLE:g}, got {peak:g}")
+        samples = as_real_array("samples", self.samples, (1,), InvalidSignalError, _MAX_SAMPLE)
         # frozen: store the array form, so a list or tuple works downstream
         object.__setattr__(self, "samples", samples)
 
@@ -70,6 +69,11 @@ def read_wav(path) -> AudioBuffer:
     descriptor included, is a MissingFileError and is never read or closed.
     Raises MissingFileError, MalformedWavError, or UnsupportedFormatError;
     arbitrary byte streams never escape as unhandled exceptions.
+
+    A data chunk size of 0xFFFFFFFF, left by a streaming writer that
+    could not seek back, reads as "to the end of the file"; the data must
+    still be a whole number of frames, and not empty.  Any other chunk
+    size past the end of the file is a truncated file.
     """
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise MissingFileError(f"cannot read {path!r}: not a file path")
@@ -90,6 +94,8 @@ def read_wav(path) -> AudioBuffer:
         chunk_id = blob[offset:offset + 4]
         (size,) = struct.unpack_from("<I", blob, offset + 4)
         body_start = offset + 8
+        if chunk_id == b"data" and size == _STREAMED_SIZE:
+            size = len(blob) - body_start
         if body_start + size > len(blob):
             raise MalformedWavError(f"truncated {chunk_id!r} chunk")
         body = view[body_start:body_start + size]

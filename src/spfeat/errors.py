@@ -53,11 +53,11 @@ class NegativeMelError(SpfeatError):
     """Values on the mel axis must be nonnegative."""
 
 
-class InvalidBandError(SpfeatError):
+class InvalidBandError(InvalidParameterError):
     """Filterbank band must satisfy 0 <= low < high <= fs/2."""
 
 
-class DegenerateFilterError(SpfeatError):
+class DegenerateFilterError(InvalidParameterError):
     """Adjacent filter edges closer than one FFT bin."""
 
 

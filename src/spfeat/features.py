@@ -8,12 +8,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._checks import (
-    as_real_array, require_fft_length, require_flag, require_int, require_real, require_type
-)
+from ._checks import as_real_array, require_flag, require_int, require_real, require_type
 from .audio_io import AudioBuffer
 from .errors import InvalidParameterError
-from .mel_filterbank import build_filterbank
+from .mel_filterbank import build_filterbank, require_band, require_filter_count
 from .preprocess import apply_window, pre_emphasis, require_alpha, require_window, stack_frames
 from .spectrum import ROW_BLOCK, power_spectrum
 
@@ -74,18 +72,13 @@ class FeatureConfig:
             require_real(name, dur)
             if not 0.001 <= dur <= 1.0:
                 raise InvalidParameterError(f"{name} must be in [0.001, 1.0] s, got {dur}")
-        # real scalars, not strings or arrays; the band also keys the filterbank cache
-        require_real("low_freq", self.low_freq)
-        if self.high_freq is not None:  # None means fs/2
-            require_real("high_freq", self.high_freq)
         require_window(self.window)
         require_flag("dc_elimination", self.dc_elimination)
         require_flag("zero_padding", self.zero_padding)
-        for name in ("fft_length", "num_filters", "num_cepstral"):
-            require_int(name, getattr(self, name))
-        require_fft_length(self.fft_length)
-        if self.num_filters < 1:
-            raise InvalidParameterError("num_filters must be >= 1")
+        # the filterbank's rules that need no sample rate; the rest wait for the signal
+        require_filter_count(self.num_filters, self.fft_length)
+        require_band(self.low_freq, self.high_freq)
+        require_int("num_cepstral", self.num_cepstral)
         if not 1 <= self.num_cepstral <= self.num_filters:
             raise InvalidParameterError(
                 f"num_cepstral must be in [1, num_filters], got {self.num_cepstral}"
@@ -175,8 +168,9 @@ def lmfe(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> Featur
 def mfcc(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
     """MFCCs: orthonormal DCT-II of the log filterbank energies, truncated to C.
 
-    With dc_elimination, coefficient 0 is dropped and 1..C kept; the log
-    frame energy stays available separately via frame_energies.
+    With dc_elimination, coefficient 0 is dropped and 1..C kept.
+    frame_energies is mfe's: the linear per-frame power sum, floored at
+    ENERGY_FLOOR.
     """
     require_type("config", config, FeatureConfig)
     config.validate_dc_elimination()

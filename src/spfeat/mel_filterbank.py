@@ -62,6 +62,30 @@ def mel_to_hz(m):
     return f
 
 
+def require_filter_count(num_filters, fft_length) -> None:
+    """Raise unless fft_length N is valid and num_filters an integer in [1, N/2 - 1]: M
+    filters have M + 1 edge gaps of at least one bin, fs/N, within fs/2, at any fs."""
+    require_fft_length(fft_length)
+    require_int("num_filters", num_filters)
+    if num_filters < 1:
+        raise InvalidBandError(f"num_filters must be >= 1, got {num_filters}")
+    if num_filters > fft_length // 2 - 1:
+        raise DegenerateFilterError(f"num_filters must be <= fft_length/2 - 1 = "
+                                    f"{fft_length // 2 - 1}, got {num_filters}")
+
+
+def require_band(low_freq, high_freq, nyquist=float("inf")) -> float:
+    """Raise unless low and high (None: nyquist) are reals with 0 <= low < high <= nyquist;
+    return high."""
+    high_freq = nyquist if high_freq is None else high_freq
+    require_real("low_freq", low_freq)
+    require_real("high_freq", high_freq)
+    if not 0.0 <= low_freq < high_freq <= nyquist:
+        raise InvalidBandError(f"band [{low_freq}, {high_freq}] must satisfy "
+                               f"0 <= low < high <= {nyquist}")
+    return high_freq
+
+
 def build_filterbank(
     num_filters: int,
     fft_length: int,
@@ -75,30 +99,16 @@ def build_filterbank(
     falls back to 0 at edge i+1.  The result is cached per arguments and
     shared; its weights and frequencies are read-only.
     """
-    # checked before the cache key is built, so an unhashable or non-numeric
-    # argument is a typed error
-    require_int("num_filters", num_filters)
-    require_fft_length(fft_length)
+    # before the cache key and any array, so a bad argument is a typed error
+    require_filter_count(num_filters, fft_length)
     require_positive("sampling_frequency", sampling_frequency)
-    require_real("low_freq", low_freq)
-    if high_freq is not None:
-        require_real("high_freq", high_freq)
+    high_freq = require_band(low_freq, high_freq, sampling_frequency / 2.0)
     return _build_filterbank(num_filters, fft_length, sampling_frequency, low_freq, high_freq)
 
 
 # typed, so 16000 and 16000.0 are separate entries
 @functools.lru_cache(maxsize=32, typed=True)
 def _build_filterbank(num_filters, fft_length, sampling_frequency, low_freq, high_freq):
-    if num_filters < 1:
-        raise InvalidBandError(f"num_filters must be >= 1, got {num_filters}")
-    nyquist = sampling_frequency / 2.0
-    if high_freq is None:
-        high_freq = nyquist
-    if not 0.0 <= low_freq < high_freq <= nyquist:
-        raise InvalidBandError(
-            f"band [{low_freq}, {high_freq}] must satisfy 0 <= low < high <= {nyquist}"
-        )
-
     mel_points = np.linspace(hz_to_mel(low_freq), hz_to_mel(high_freq), num_filters + 2)
     hz_points = mel_to_hz(mel_points)
     # pin the endpoints so round-trip error cannot push them past the band

@@ -17,7 +17,7 @@ from spfeat.errors import (
 )
 from spfeat.preprocess import pre_emphasis
 
-from conftest import write_wav
+from conftest import wav_bytes, write_wav
 
 PCM_MONO = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
 PCM_STEREO = struct.pack("<HHIIHH", 1, 2, 16000, 64000, 4, 16)
@@ -27,6 +27,16 @@ def riff(*chunks):
     """A RIFF/WAVE blob holding the given (chunk id, body) pairs in order."""
     body = b"WAVE" + b"".join(cid + struct.pack("<I", len(data)) + data for cid, data in chunks)
     return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+# the data chunk size a streaming writer leaves when it cannot seek back
+STREAMED = 0xFFFFFFFF
+
+
+def with_size(blob, chunk_id, size):
+    """blob with the size field of its first chunk_id chunk replaced."""
+    at = blob.index(chunk_id) + 4
+    return blob[:at] + struct.pack("<I", size) + blob[at + 4:]
 
 
 class TestSamplesToReal:
@@ -97,6 +107,35 @@ class TestReadWav:
         (tmp_path / "cut.wav").write_bytes(blob[:60])
         with pytest.raises(MalformedWavError):
             read_wav(tmp_path / "cut.wav")
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_streamed_data_size_reads_to_end_of_file(self, tmp_path, channels):
+        samples = np.random.default_rng(11).integers(-32768, 32768, 2 * 801)
+        blob = with_size(wav_bytes(samples, 16000, channels), b"data", STREAMED)
+        (tmp_path / "streamed.wav").write_bytes(blob)
+        expected = read_wav(write_wav(tmp_path / "sized.wav", samples, 16000, channels))
+        got = read_wav(tmp_path / "streamed.wav")
+        assert got.sampling_frequency == 16000
+        assert got.samples.tobytes() == expected.samples.tobytes()
+
+    @pytest.mark.parametrize("channels, tail", [(1, 1), (2, 1), (2, 3)])
+    def test_streamed_tail_must_be_whole_frames(self, tmp_path, channels, tail):
+        blob = with_size(wav_bytes(np.arange(200), 16000, channels), b"data", STREAMED)
+        (tmp_path / "streamed.wav").write_bytes(blob + b"\x01" * tail)
+        with pytest.raises(MalformedWavError, match="not a multiple of the frame size"):
+            read_wav(tmp_path / "streamed.wav")
+
+    def test_streamed_empty_data_chunk(self, tmp_path):
+        (tmp_path / "streamed.wav").write_bytes(with_size(wav_bytes([]), b"data", STREAMED))
+        with pytest.raises(MalformedWavError, match="empty data chunk"):
+            read_wav(tmp_path / "streamed.wav")
+
+    @pytest.mark.parametrize("chunk_id, size", [(b"data", STREAMED - 1), (b"LIST", STREAMED)])
+    def test_other_sizes_past_the_end_are_truncated(self, tmp_path, chunk_id, size):
+        blob = riff((b"fmt ", PCM_MONO), (b"LIST", b"\x00" * 8), (b"data", b"\x00" * 8))
+        (tmp_path / "bad.wav").write_bytes(with_size(blob, chunk_id, size))
+        with pytest.raises(MalformedWavError, match="truncated"):
+            read_wav(tmp_path / "bad.wav")
 
     @pytest.mark.parametrize("channels", [1, 2])
     def test_empty_data_chunk(self, tmp_path, channels):

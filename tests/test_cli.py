@@ -139,6 +139,9 @@ class TestParseConfig:
         ["--dc-elimination", "--num-cepstral", "40"],
         ["--num-filters", "0"],
         ["--num-cepstral", "0"],
+        ["--num-filters", "1152921504606846976"],
+        ["--num-filters", "300", "--fft-length", "512"],
+        ["--low-freq", "5000", "--high-freq", "4000"],
     ])
     def test_bad_job_parameter_exits_2_once(self, fixture_dir, tmp_path, capsys, bad):
         out_dir = tmp_path / "out"

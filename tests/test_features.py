@@ -44,6 +44,12 @@ BAD_CONFIG_FIELDS = [
     ("num_filters", 0),
     ("zero_padding", "no"),
     ("dc_elimination", np.array([0, 1])),
+    ("num_filters", 256),  # past fft_length/2 - 1 at every rate
+    ("num_filters", 2**60),
+    ("fft_length", 2),
+    ("low_freq", -1.0),
+    ("low_freq", float("nan")),
+    ("high_freq", 0.0),
 ]
 
 
@@ -338,6 +344,14 @@ class TestMfcc:
         expected = np.array([dct_ii_ortho(row) for row in log_energies.data])
         out = mfcc(signal, config)
         assert np.abs(out.data - expected[:, :13]).max() == 0.0
+
+    @pytest.mark.parametrize("dc_elimination", [False, True])
+    def test_frame_energies_are_mfe_s(self, dc_elimination):
+        signal = noise_frames(150, seed=4)
+        config = FeatureConfig(window="hamming", dc_elimination=dc_elimination)
+        assert mfcc(signal, config).frame_energies.tobytes() == (
+            mfe(signal, config).frame_energies.tobytes()
+        )
 
     def test_dc_elimination_drops_first_coefficient(self):
         config = FeatureConfig(dc_elimination=True)

@@ -9,7 +9,16 @@ from spfeat.errors import (
     NegativeFrequencyError,
     NegativeMelError,
 )
-from spfeat.mel_filterbank import build_filterbank, hz_to_mel, mel_to_hz
+from spfeat.audio_io import AudioBuffer
+from spfeat.features import FeatureConfig, mfe
+from spfeat.mel_filterbank import (
+    _build_filterbank,
+    build_filterbank,
+    hz_to_mel,
+    mel_to_hz,
+    require_band,
+    require_filter_count,
+)
 
 
 class TestMelScale:
@@ -164,3 +173,51 @@ class TestBuildFilterbank:
         bank = build_filterbank(26, 512, 16000, 0.0, None)
         assert build_filterbank(26, 512, 16000) is bank
         assert build_filterbank(26, 512, 16000, low_freq=0.0) is bank
+
+
+class TestRulesWithoutRate:
+    """The filter count and the band order need no sample rate, so a
+    FeatureConfig checks them when it is built, as build_filterbank does."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_filter_count_is_degenerate_before_any_array(self):
+        with pytest.raises(DegenerateFilterError):
+            build_filterbank(2**60, 512, 16000)
+        with pytest.raises(DegenerateFilterError):
+            FeatureConfig(num_filters=2**60)
+
+    @pytest.mark.parametrize("fft_length", [4, 64, 512, 2048])
+    def test_count_bound_is_half_the_fft_length_less_one(self, fft_length):
+        top = fft_length // 2 - 1
+        require_filter_count(top, fft_length)
+        with pytest.raises(DegenerateFilterError, match=f"<= fft_length/2 - 1 = {top}"):
+            require_filter_count(top + 1, fft_length)
+
+    @pytest.mark.parametrize("fft_length", [1, 2])
+    def test_no_count_fits_the_shortest_ffts(self, fft_length):
+        with pytest.raises(DegenerateFilterError):
+            require_filter_count(1, fft_length)
+
+    @pytest.mark.parametrize("fs", [8000, 16000, 48000, 1])
+    @pytest.mark.parametrize("fft_length", [16, 64, 512])
+    def test_counts_past_the_bound_fail_at_every_rate(self, fs, fft_length):
+        # the bound is necessary: above it the exact spacing would fail too
+        with pytest.raises(DegenerateFilterError):
+            _build_filterbank(fft_length // 2, fft_length, fs, 0.0, fs / 2.0)
+
+    @pytest.mark.parametrize("low, high", [(5000, 4000), (4000, 4000), (-1, 100),
+                                           (float("nan"), None), (0, float("nan"))])
+    def test_band_order_is_checked_without_a_rate(self, low, high):
+        with pytest.raises(InvalidBandError):
+            require_band(low, high)
+        with pytest.raises(InvalidBandError):
+            FeatureConfig(low_freq=low, high_freq=high)
+
+    def test_band_against_nyquist_waits_for_the_rate(self):
+        config = FeatureConfig(high_freq=6000.0)  # fine at 16 kHz, past Nyquist at 8 kHz
+        with pytest.raises(InvalidBandError, match="<= 4000.0"):
+            mfe(AudioBuffer(np.zeros(800), 8000), config)
+
+    @pytest.mark.parametrize("error", [InvalidBandError, DegenerateFilterError])
+    def test_filterbank_errors_are_parameter_errors(self, error):
+        assert issubclass(error, InvalidParameterError)

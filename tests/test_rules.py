@@ -54,7 +54,12 @@ def test_integer_rule_has_one_home():
     ("positive and finite", {"_checks:require_positive"}),
     ("alpha must be in", {"preprocess:require_alpha"}),
     ("unknown window", {"preprocess:require_window"}),
-], ids=["power-of-two", "integer", "real-array", "finite", "positive", "alpha", "window"])
+    ("| must be <= ", {"_checks:as_real_array"}),
+    ("num_filters must be >= 1", {"mel_filterbank:require_filter_count"}),
+    ("num_filters must be <= ", {"mel_filterbank:require_filter_count"}),
+    ("] must satisfy 0 <= low < high", {"mel_filterbank:require_band"}),
+], ids=["power-of-two", "integer", "real-array", "finite", "positive", "alpha", "window",
+        "sample-bound", "filter-count-low", "filter-count-high", "band"])
 def test_message_raised_in_one_place(text, homes):
     sites = _sites(lambda n: isinstance(n, ast.Constant) and isinstance(n.value, str)
                    and text in n.value)
@@ -65,6 +70,13 @@ def test_config_validated_only_when_built():
     calls = _sites(lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
                    and n.func.attr == "validate")
     assert calls == {"features:FeatureConfig.__post_init__"}
+
+
+@pytest.mark.parametrize("rule", ["require_filter_count", "require_band"])
+def test_filterbank_rules_checked_by_config_and_builder(rule):
+    calls = _sites(lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                   and n.func.id == rule)
+    assert calls == {"features:FeatureConfig.validate", "mel_filterbank:build_filterbank"}
 
 
 def _tree(module):
@@ -123,3 +135,22 @@ def test_run_extract_takes_only_the_spec():
 def test_empty_features_rule_has_one_home():
     raises = _sites(lambda n: isinstance(n, ast.Raise) and "at least one frame" in ast.unparse(n))
     assert raises == {"postprocess:_as_array"}
+
+
+def test_features_states_no_filterbank_rule():
+    """features compares the filter count only with num_cepstral (its own
+    rules) and hands the band and count to no rule but the filterbank's."""
+    tree = _tree("features")
+
+    def names(node):
+        return {getattr(n, "attr", None) or getattr(n, "id", None) or getattr(n, "value", None)
+                for n in ast.walk(node)}
+
+    compared = [names(n) for n in ast.walk(tree) if isinstance(n, ast.Compare)]
+    assert not [c for c in compared if c & {"low_freq", "high_freq"}]
+    assert all("num_cepstral" in c for c in compared if "num_filters" in c)
+    checked = set().union(*(names(a) for n in ast.walk(tree) if isinstance(n, ast.Call)
+                            and getattr(n.func, "id", "").startswith("require_")
+                            and n.func.id not in ("require_filter_count", "require_band")
+                            for a in n.args))
+    assert not checked & {"num_filters", "low_freq", "high_freq"}
