@@ -45,11 +45,7 @@ BAD_CONFIG_FIELDS = [
     ("zero_padding", "no"),
     ("dc_elimination", np.array([0, 1])),
     ("num_filters", 256),  # past fft_length/2 - 1 at every rate
-    ("num_filters", 2**60),
     ("fft_length", 2),
-    ("low_freq", -1.0),
-    ("low_freq", float("nan")),
-    ("high_freq", 0.0),
 ]
 
 
