@@ -71,5 +71,6 @@ def test_a_sample_changes_only_the_frames_that_hold_it(change, seed, window, zer
     for old, new in [(before.data, after.data),
                      (before.frame_energies, after.frame_energies)]:
         assert old[~holds].tobytes() == new[~holds].tobytes()
+        # without zero padding, a sample past the last frame is held by none
         if window != "hanning":  # hanning's zero end weights can hide a change
-            assert (old[holds] != new[holds]).reshape(holds.sum(), -1).any(axis=1).all()
+            assert (old != new).reshape(len(old), -1).any(axis=1)[holds].all()
