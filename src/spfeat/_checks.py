@@ -49,8 +49,8 @@ def require_fft_length(n) -> None:
 
 def as_real_array(name: str, value, ndims, error=InvalidParameterError,
                   bound=math.inf) -> np.ndarray:
-    """value as a finite int/uint/float array in its own dtype, of a rank in ndims (None: any);
-    a float array's magnitude also at most bound."""
+    """value as a float64 array, of a rank in ndims (None: any), from a finite int/uint/float
+    array; a float input's magnitude also at most bound.  A float64 input is not copied."""
     try:
         x = np.asarray(value)
         real = x.dtype.kind in "iuf"
@@ -69,4 +69,4 @@ def as_real_array(name: str, value, ndims, error=InvalidParameterError,
         peak = max(-low, high)
         if peak > bound:
             raise error(f"|{name}| must be <= {bound:g}, got {peak:g}")
-    return x
+    return x.astype(np.float64, copy=False)

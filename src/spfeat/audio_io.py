@@ -41,7 +41,9 @@ _MAX_SAMPLE = 1e50
 
 @dataclass(frozen=True)
 class AudioBuffer:
-    """A mono signal: float64 samples (nominal range [-1, 1)) plus its rate."""
+    """A mono signal: float64 samples (nominal range [-1, 1)) plus its rate.
+
+    Samples of any real dtype, or a list, are stored widened to float64."""
 
     samples: np.ndarray
     sampling_frequency: int
@@ -59,7 +61,7 @@ class AudioBuffer:
 
 def samples_to_real(raw) -> np.ndarray:
     """Convert 16-bit integer samples to float64 via v / 32768."""
-    return np.asarray(as_real_array("raw", raw, None), dtype=np.float64) / _FULL_SCALE
+    return as_real_array("raw", raw, None) / _FULL_SCALE
 
 
 def read_wav(path) -> AudioBuffer:

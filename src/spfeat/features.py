@@ -107,7 +107,7 @@ def _dct_matrix(size: int) -> np.ndarray:
 
 def dct_ii_ortho(row) -> np.ndarray:
     """Orthonormal DCT-II of a single row."""
-    x = np.asarray(as_real_array("row", row, (1,)), dtype=np.float64)
+    x = as_real_array("row", row, (1,))
     if not len(x):
         raise InvalidParameterError("dct_ii_ortho needs a non-empty row")
     return _dct_matrix(len(x)) @ x
@@ -158,11 +158,8 @@ def mfe(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> Feature
 def lmfe(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
     """Natural log of the mel filterbank energies."""
     energies = mfe(signal, config)
-    return FeatureMatrix(
-        data=np.log(energies.data, out=energies.data),  # mfe's fresh array, ours to reuse
-        kind="lmfe",
-        frame_energies=energies.frame_energies,
-    )
+    # mfe's fresh array, ours to reuse
+    return replace(energies, data=np.log(energies.data, out=energies.data), kind="lmfe")
 
 
 def mfcc(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
@@ -181,9 +178,7 @@ def mfcc(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> Featur
     first = 1 if config.dc_elimination else 0
     # a C-ordered copy of the kept columns, so the T x num_filters cepstra can go
     kept = cepstra[:, first : first + config.num_cepstral].copy()
-    return FeatureMatrix(
-        data=kept, kind="mfcc", frame_energies=log_energies.frame_energies
-    )
+    return replace(log_energies, data=kept, kind="mfcc")
 
 
 def _delta(data: np.ndarray, half_width: int) -> np.ndarray:

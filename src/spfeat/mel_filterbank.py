@@ -44,7 +44,7 @@ class FilterBank:
 
 def hz_to_mel(f):
     """mel = 2595 * log10(1 + f/700)"""
-    f = np.asarray(as_real_array("f", f, None), dtype=np.float64)
+    f = as_real_array("f", f, None)
     if np.any(f < 0):
         raise NegativeFrequencyError("frequency must be >= 0 Hz")
     return _MEL_SCALE * np.log10(1.0 + f / _MEL_BREAK_HZ)
@@ -52,7 +52,7 @@ def hz_to_mel(f):
 
 def mel_to_hz(m):
     """f = 700 * (10^(m/2595) - 1)"""
-    m = np.asarray(as_real_array("m", m, None), dtype=np.float64)
+    m = as_real_array("m", m, None)
     if np.any(m < 0):
         raise NegativeMelError("mel value must be >= 0")
     with np.errstate(over="ignore"):

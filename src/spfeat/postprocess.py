@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ._checks import as_real_array, require_flag, require_int
@@ -21,18 +23,14 @@ FRAME_BLOCK = 1024
 
 def _as_array(features, name, ndims):
     data = features.data if isinstance(features, FeatureMatrix) else features
-    x = np.asarray(as_real_array(name, data, ndims), dtype=np.float64)
+    x = as_real_array(name, data, ndims)
     if x.shape[0] == 0:
         raise EmptyFeaturesError(f"{name} must have at least one frame")
     return x
 
 
 def _wrap(features, data):
-    if isinstance(features, FeatureMatrix):
-        return FeatureMatrix(
-            data=data, kind=features.kind, frame_energies=features.frame_energies
-        )
-    return data
+    return replace(features, data=data) if isinstance(features, FeatureMatrix) else data
 
 
 def cmvn(features, variance_normalization: bool = False):

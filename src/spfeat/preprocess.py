@@ -66,7 +66,7 @@ def pre_emphasis(signal: AudioBuffer, alpha: float = 0.97) -> AudioBuffer:
     y[0] = x[0]
     np.multiply(x[:-1], alpha, out=y[1:])
     np.subtract(x[1:], y[1:], out=y[1:])
-    return AudioBuffer(samples=y, sampling_frequency=signal.sampling_frequency)
+    return replace(signal, samples=y)
 
 
 def _seconds_to_samples(duration_s: float, fs: int) -> int:
@@ -101,7 +101,7 @@ def stack_frames(
         )
 
     # contiguous, so the frames below can be a strided view of its buffer
-    x = np.ascontiguousarray(signal.samples, dtype=np.float64)
+    x = np.ascontiguousarray(signal.samples)
     n = len(x)
     if zero_padding:
         if n <= length:

@@ -12,7 +12,7 @@ oracle the test suite checks the spectra against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,16 +42,16 @@ class SpectrumMatrix:
 
 def naive_dft(frame) -> np.ndarray:
     """DFT by its definition: X[k] = sum_n x[n] exp(-2*pi*i*k*n/N)."""
-    x = np.asarray(as_real_array("frame", frame, (1,)), dtype=np.float64)
+    x = as_real_array("frame", frame, (1,))
     n = len(x)
     grid = np.outer(np.arange(n), np.arange(n))
     return np.exp(-2j * np.pi * grid / n) @ x
 
 
-def _half_spectra(frames: FrameMatrix, fft_length: int, fill) -> np.ndarray:
+def _half_spectra(frames: FrameMatrix, fft_length: int, kind: str, fill) -> SpectrumMatrix:
     """Check N, then run rfft over each block of frames and let
     ``fill(X, out_rows)`` write the block's rows of the T x (N/2 + 1)
-    result from its half spectrum X."""
+    spectrum of the given kind from its half spectrum X."""
     require_type("frames", frames, FrameMatrix)
     require_fft_length(fft_length)
     if fft_length < frames.frame_length:
@@ -62,17 +62,13 @@ def _half_spectra(frames: FrameMatrix, fft_length: int, fill) -> np.ndarray:
     for s in range(0, frames.num_frames, ROW_BLOCK):
         rows = slice(s, s + ROW_BLOCK)
         fill(np.fft.rfft(frames.data[rows], n=fft_length, axis=1), out[rows])
-    return out
+    return SpectrumMatrix(data=out, kind=kind, fft_length=fft_length,
+                          sampling_frequency=frames.sampling_frequency)
 
 
 def fft_magnitude(frames: FrameMatrix, fft_length: int) -> SpectrumMatrix:
     """Magnitude spectrum |X[k]| for bins k = 0 .. N/2 of each frame."""
-    return SpectrumMatrix(
-        data=_half_spectra(frames, fft_length, lambda x, out: np.abs(x, out=out)),
-        kind="magnitude",
-        fft_length=fft_length,
-        sampling_frequency=frames.sampling_frequency,
-    )
+    return _half_spectra(frames, fft_length, "magnitude", lambda x, out: np.abs(x, out=out))
 
 
 def power_spectrum(frames: FrameMatrix, fft_length: int) -> SpectrumMatrix:
@@ -87,12 +83,7 @@ def power_spectrum(frames: FrameMatrix, fft_length: int) -> SpectrumMatrix:
         np.add(pairs[:, 0::2], pairs[:, 1::2], out=out)
         out *= 1.0 / fft_length
 
-    return SpectrumMatrix(
-        data=_half_spectra(frames, fft_length, fill),
-        kind="power",
-        fft_length=fft_length,
-        sampling_frequency=frames.sampling_frequency,
-    )
+    return _half_spectra(frames, fft_length, "power", fill)
 
 
 def log_power_spectrum(
@@ -104,9 +95,4 @@ def log_power_spectrum(
     log_power = 10.0 * np.log10(np.maximum(power.data, POWER_FLOOR))
     if normalize:
         log_power = log_power - log_power.max()
-    return SpectrumMatrix(
-        data=log_power,
-        kind="log_power",
-        fft_length=fft_length,
-        sampling_frequency=frames.sampling_frequency,
-    )
+    return replace(power, data=log_power, kind="log_power")

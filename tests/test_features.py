@@ -525,3 +525,22 @@ def test_lmfe_is_log_of_mfe_bitwise(window):
     out = lmfe(signal, config)
     assert out.data.tobytes() == np.log(energies.data).tobytes()
     assert out.frame_energies.tobytes() == energies.frame_energies.tobytes()
+
+
+def _noise_as(kind):
+    """1 s of uniform noise at 16 kHz as a list of floats or an array of dtype kind."""
+    x = np.random.default_rng(11).uniform(-1, 1, 16000)
+    if kind == "list":
+        return x.tolist()
+    return (x * (30000 if np.dtype(kind).kind == "i" else 1)).astype(kind)
+
+
+@pytest.mark.parametrize("kind", ["float16", "float32", "int16", "list"])
+def test_samples_widened_to_float64_before_any_stage(kind):
+    samples = _noise_as(kind)
+    signal = AudioBuffer(samples, 16000)
+    wide = AudioBuffer(np.array(samples, dtype=np.float64), 16000)
+    assert signal.samples.dtype == np.float64
+    assert mfe(signal).frame_energies.tobytes() == mfe(wide).frame_energies.tobytes()
+    for extract in (mfe, mfcc, lambda s: extract_derivative(mfcc(s))):
+        assert extract(signal).data.tobytes() == extract(wide).data.tobytes()

@@ -79,6 +79,33 @@ def test_filterbank_rules_checked_by_config_and_builder(rule):
     assert calls == {"features:FeatureConfig.validate", "mel_filterbank:build_filterbank"}
 
 
+def _calls(name):
+    """The sites of every call of name, as _sites gives them."""
+    return _sites(lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id == name)
+
+
+@pytest.mark.parametrize("record, homes", [
+    ("SpectrumMatrix", {"spectrum:_half_spectra"}),
+    ("FeatureMatrix", {"features:mfe", "features:extract_derivative"}),
+    ("AudioBuffer", {"audio_io:read_wav"}),
+])
+def test_record_built_in_one_place(record, homes):
+    """Every other stage derives its record from its source with replace."""
+    assert _calls(record) == homes
+
+
+def test_real_arrays_not_converted_again():
+    """as_real_array already gives float64, so no call wraps its result."""
+    def wraps(node):
+        args = [*node.args, *(k.value for k in node.keywords)]
+        return any(isinstance(a, ast.Call) and getattr(a.func, "id", None) == "as_real_array"
+                   for a in args)
+
+    assert _calls("as_real_array")
+    assert _sites(lambda n: isinstance(n, ast.Call) and wraps(n)) == set()
+
+
 def _tree(module):
     return ast.parse(next(p for p in SOURCES if p.stem == module).read_text())
 
