@@ -41,10 +41,13 @@ def require_type(name: str, value, cls) -> None:
         )
 
 
-def require_fft_length(n) -> None:
-    """Raise InvalidFftLengthError unless n is a power of two: 1, 2, 4, ..., not a bool."""
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1 or n & (n - 1):
-        raise InvalidFftLengthError(f"fft_length {n} is not a power of two")
+def require_fft_length(n, frame_length=1) -> None:
+    """Raise InvalidFftLengthError unless n is a power of two in [1, 65536], >= frame_length."""
+    if (not isinstance(n, numbers.Integral) or isinstance(n, bool) or not 1 <= n <= 65536
+            or n & (n - 1)):
+        raise InvalidFftLengthError(f"fft_length {n} is not a power of two in [1, 65536]")
+    if n < frame_length:
+        raise InvalidFftLengthError(f"fft_length {n} shorter than frame length {frame_length}")
 
 
 def as_real_array(name: str, value, ndims, error=InvalidParameterError,

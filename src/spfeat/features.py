@@ -8,20 +8,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._checks import as_real_array, require_flag, require_int, require_real, require_type
+from ._checks import (as_real_array, require_fft_length, require_flag, require_int, require_real,
+                      require_type)
 from .audio_io import AudioBuffer
 from .errors import InvalidParameterError
 from .mel_filterbank import build_filterbank, require_band, require_filter_count
 from .preprocess import apply_window, pre_emphasis, require_alpha, require_window, stack_frames
-from .spectrum import ROW_BLOCK, power_spectrum
+from .spectrum import power_spectrum
 
 # Floor for filterbank energies and frame energies, avoids log(0).
 ENERGY_FLOOR = float(np.finfo(np.float64).eps)
 
-# Frames per block in mfe, so the windowed frames and the power spectrum
-# exist one block at a time.  Whole row blocks, so the FFT splits every
-# full block without a short remainder.
-MFE_BLOCK = 16 * ROW_BLOCK
+# Frames per block in mfe; window and spectrum exist one block at a time.  It fixes the
+# filterbank product's row blocks, so the output bits; spectrum.ROW_BLOCK sizes rfft only.
+MFE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -127,21 +127,20 @@ def mfe(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> Feature
         frame_stride_s=config.frame_stride_s,
         zero_padding=config.zero_padding,
     )
+    require_fft_length(config.fft_length, frames.frame_length)  # so it wins over band errors
+    bank = build_filterbank(
+        config.num_filters,
+        config.fft_length,
+        signal.sampling_frequency,
+        low_freq=config.low_freq,
+        high_freq=config.high_freq,
+    )
     num_frames = frames.num_frames
     energies = np.empty((num_frames, config.num_filters))
     frame_energies = np.empty(num_frames)
     for start in range(0, num_frames, MFE_BLOCK):
         block = replace(frames, data=frames.data[start:start + MFE_BLOCK])
         power = power_spectrum(apply_window(block, config.window), config.fft_length).data
-        if start == 0:
-            # after the first spectrum, so an FFT length error still wins over a band error
-            bank = build_filterbank(
-                config.num_filters,
-                config.fft_length,
-                signal.sampling_frequency,
-                low_freq=config.low_freq,
-                high_freq=config.high_freq,
-            )
         count = len(power)
         frame_energies[start:start + count] = power.sum(axis=1)
         if count < MFE_BLOCK < num_frames:

@@ -48,6 +48,14 @@ def require_alpha(alpha) -> None:
         raise InvalidParameterError(f"alpha must be in [0, 1), got {alpha}")
 
 
+def require_frames(frames) -> None:
+    """Raise InvalidParameterError unless frames is a FrameMatrix of 2-D int/uint/float data."""
+    require_type("frames", frames, FrameMatrix)
+    data = frames.data
+    if not (isinstance(data, np.ndarray) and data.ndim == 2 and data.dtype.kind in "iuf"):
+        raise InvalidParameterError(f"FrameMatrix data must be 2-D int or float, got {data!r:.80}")
+
+
 def require_window(kind) -> None:
     """Raise InvalidParameterError unless kind is one of WINDOW_TYPES."""
     if not isinstance(kind, str) or kind not in WINDOW_TYPES:
@@ -155,6 +163,6 @@ def _window(kind: str, length: int) -> np.ndarray:
 
 def apply_window(frames: FrameMatrix, window: str = "rectangular") -> FrameMatrix:
     """Multiply every frame elementwise by the chosen window."""
-    require_type("frames", frames, FrameMatrix)
+    require_frames(frames)
     w = window_function(window, frames.frame_length)
     return replace(frames, data=frames.data * w)

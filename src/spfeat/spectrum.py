@@ -16,9 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._checks import as_real_array, require_fft_length, require_flag, require_type
-from .errors import InvalidFftLengthError
-from .preprocess import FrameMatrix
+from ._checks import as_real_array, require_fft_length, require_flag
+from .preprocess import FrameMatrix, require_frames
 
 # Power floor applied before taking logs: 10*log10(1e-30) = -300 dB.
 POWER_FLOOR = 1e-30
@@ -52,16 +51,13 @@ def _half_spectra(frames: FrameMatrix, fft_length: int, kind: str, fill) -> Spec
     """Check N, then run rfft over each block of frames and let
     ``fill(X, out_rows)`` write the block's rows of the T x (N/2 + 1)
     spectrum of the given kind from its half spectrum X."""
-    require_type("frames", frames, FrameMatrix)
-    require_fft_length(fft_length)
-    if fft_length < frames.frame_length:
-        raise InvalidFftLengthError(
-            f"fft_length {fft_length} shorter than frame length {frames.frame_length}"
-        )
+    require_frames(frames)
+    require_fft_length(fft_length, frames.frame_length)
+    data = frames.data.astype(np.float64, copy=False)  # rfft keeps float32 as complex64
     out = np.empty((frames.num_frames, fft_length // 2 + 1))
     for s in range(0, frames.num_frames, ROW_BLOCK):
         rows = slice(s, s + ROW_BLOCK)
-        fill(np.fft.rfft(frames.data[rows], n=fft_length, axis=1), out[rows])
+        fill(np.fft.rfft(data[rows], n=fft_length, axis=1), out[rows])
     return SpectrumMatrix(data=out, kind=kind, fft_length=fft_length,
                           sampling_frequency=frames.sampling_frequency)
 

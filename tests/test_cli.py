@@ -142,6 +142,7 @@ class TestParseConfig:
         ["--num-filters", "1152921504606846976"],
         ["--num-filters", "300", "--fft-length", "512"],
         ["--low-freq", "5000", "--high-freq", "4000"],
+        ["--fft-length", "1073741824"],
     ])
     def test_bad_job_parameter_exits_2_once(self, fixture_dir, tmp_path, capsys, bad):
         out_dir = tmp_path / "out"
@@ -165,6 +166,16 @@ class TestParseConfig:
         assert code == 1
         assert capsys.readouterr().err == (
             f"FAIL {fixture_dir / 'alpha.wav'}: fft_length 256 shorter than frame length 400\n"
+        )
+
+    def test_fft_length_error_wins_over_band_error_at_8_khz(self, tmp_path, capsys):
+        # 6 kHz is past the 4 kHz Nyquist, but the 160-sample frames are checked first
+        wav = write_wav(tmp_path / "low.wav", tone(fs=8000), sampling_frequency=8000)
+        code = main(["--feature", "mfcc", "--input", str(wav), "--output-dir",
+                     str(tmp_path / "out"), "--fft-length", "128", "--high-freq", "6000"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"FAIL {wav}: fft_length 128 shorter than frame length 160\n"
         )
 
     @pytest.mark.parametrize("feature", ["mfe", "lmfe"])

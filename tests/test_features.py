@@ -8,7 +8,7 @@ import pytest
 
 import spfeat.features as features
 from spfeat.audio_io import AudioBuffer
-from spfeat.errors import InvalidParameterError
+from spfeat.errors import InvalidFftLengthError, InvalidParameterError
 from spfeat.features import (
     ENERGY_FLOOR,
     MFE_BLOCK,
@@ -46,6 +46,7 @@ BAD_CONFIG_FIELDS = [
     ("dc_elimination", np.array([0, 1])),
     ("num_filters", 256),  # past fft_length/2 - 1 at every rate
     ("fft_length", 2),
+    ("fft_length", 2**17),
 ]
 
 
@@ -176,6 +177,17 @@ class TestMfe:
     def test_invalid_config(self):
         with pytest.raises(InvalidParameterError):
             mfe(silence(), FeatureConfig(num_cepstral=50, num_filters=40))
+
+    def test_fft_length_error_wins_over_band_error(self):
+        # 8 kHz, 20 ms frames: L = 160 > N = 128, and 6 kHz is past Nyquist
+        signal = AudioBuffer(np.random.default_rng(8).uniform(-1, 1, 8000), 8000)
+        config = FeatureConfig(fft_length=128, high_freq=6000.0)
+        with pytest.raises(InvalidFftLengthError, match="shorter than frame length 160$"):
+            mfe(signal, config)
+
+    def test_largest_fft_length(self):
+        out = mfe(noise_frames(3), FeatureConfig(fft_length=65536))
+        assert out.data.shape == (3, 40) and np.isfinite(out.data).all()
 
     @pytest.mark.parametrize("field, value", BAD_CONFIG_FIELDS)
     def test_config_rejects_bad_counts(self, field, value):

@@ -131,7 +131,7 @@ class TestBuildFilterbank:
         with pytest.raises(InvalidBandError):
             build_filterbank(10, 512, 16000, low, high)
 
-    @pytest.mark.parametrize("fft_length", [512.0, True, 500, 0])
+    @pytest.mark.parametrize("fft_length", [512.0, True, 500, 0, 2**17, 2**62])
     def test_rejects_non_power_of_two_fft_length(self, fft_length):
         with pytest.raises(InvalidFftLengthError):
             build_filterbank(40, fft_length, 16000)

@@ -58,8 +58,11 @@ def test_integer_rule_has_one_home():
     ("num_filters must be >= 1", {"mel_filterbank:require_filter_count"}),
     ("num_filters must be <= ", {"mel_filterbank:require_filter_count"}),
     ("] must satisfy 0 <= low < high", {"mel_filterbank:require_band"}),
+    ("shorter than frame length", {"_checks:require_fft_length"}),
+    ("FrameMatrix data must be", {"preprocess:require_frames"}),
 ], ids=["power-of-two", "integer", "real-array", "finite", "positive", "alpha", "window",
-        "sample-bound", "filter-count-low", "filter-count-high", "band"])
+        "sample-bound", "filter-count-low", "filter-count-high", "band", "fft-covers-frame",
+        "frame-data"])
 def test_message_raised_in_one_place(text, homes):
     sites = _sites(lambda n: isinstance(n, ast.Constant) and isinstance(n.value, str)
                    and text in n.value)
@@ -93,6 +96,23 @@ def _calls(name):
 def test_record_built_in_one_place(record, homes):
     """Every other stage derives its record from its source with replace."""
     assert _calls(record) == homes
+
+
+def test_frame_rule_called_by_every_frame_stage():
+    assert _calls("require_frames") == {"preprocess:apply_window", "spectrum:_half_spectra"}
+    assert _calls("require_type") & {"preprocess:apply_window", "spectrum:_half_spectra"} == set()
+
+
+def test_mfe_settles_its_rules_and_filterbank_before_its_block_loop():
+    mfe = _named(_tree("features"), ast.FunctionDef, "mfe")
+    loop = next(n for n in ast.walk(mfe) if isinstance(n, ast.For))
+
+    def called(node):
+        return [n.func.id for n in ast.walk(node)
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+
+    assert {"build_filterbank", "require_fft_length"} <= set(called(mfe))
+    assert not {"build_filterbank", "require_fft_length"} & set(called(loop))
 
 
 def test_real_arrays_not_converted_again():

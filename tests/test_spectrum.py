@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spfeat.audio_io import AudioBuffer
-from spfeat.errors import InvalidFftLengthError
+from spfeat.errors import InvalidFftLengthError, InvalidParameterError
 from spfeat.preprocess import FrameMatrix, apply_window, stack_frames
 from spfeat.spectrum import (
     ROW_BLOCK,
@@ -88,6 +88,16 @@ class TestPowerSpectrum:
         with pytest.raises(InvalidFftLengthError, match="not a power of two"):
             power_spectrum(frames_of([[1, 2]]), bad_n)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad_n", [2**17, 2**62])
+    def test_rejects_length_above_65536_before_any_array(self, bad_n):
+        with pytest.raises(InvalidFftLengthError, match="not a power of two in \\[1, 65536\\]"):
+            power_spectrum(frames_of([[1, 2]]), bad_n)
+
+    def test_largest_length(self):
+        out = power_spectrum(frames_of([[1, 1, 1, 1]]), 65536)
+        assert out.data.shape == (1, 32769) and out.data[0, 0] == 16 / 65536
+
     def test_nonnegative(self):
         rng = np.random.default_rng(7)
         out = power_spectrum(frames_of(rng.normal(size=(20, 32))), 32)
@@ -99,6 +109,35 @@ class TestPowerSpectrum:
         assert frames.frame_length == 5
         with pytest.raises(InvalidFftLengthError, match="shorter than frame length 5"):
             power_spectrum(frames, 4)
+
+
+# every stage that takes a FrameMatrix
+FRAME_STAGES = {
+    "apply_window": lambda frames: apply_window(frames, "hamming"),
+    "power_spectrum": lambda frames: power_spectrum(frames, 8),
+    "fft_magnitude": lambda frames: fft_magnitude(frames, 8),
+    "log_power_spectrum": lambda frames: log_power_spectrum(frames, 8),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("data", [
+    np.ones(5), np.ones((2, 2, 2)), np.ones((3, 4), dtype=complex), [[1.0, 2.0]],
+    np.ones((3, 4), dtype=bool), np.array([["a", "b"]]),
+], ids=["1-d", "3-d", "complex", "list", "bool", "str"])
+@pytest.mark.parametrize("stage", FRAME_STAGES.values(), ids=FRAME_STAGES.keys())
+def test_frame_data_of_wrong_shape_or_type_is_a_typed_error(stage, data):
+    with pytest.raises(InvalidParameterError, match="FrameMatrix data must be 2-D int or float"):
+        stage(FrameMatrix(data, 16000, 1))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dtype", [np.int16, np.uint8, np.float16, np.float32])
+@pytest.mark.parametrize("stage", FRAME_STAGES.values(), ids=FRAME_STAGES.keys())
+def test_integer_and_narrow_float_frames_match_their_float64_copy(stage, dtype):
+    frames = FrameMatrix(np.arange(12).reshape(3, 4).astype(dtype), 16000, 1)
+    wide = FrameMatrix(frames.data.astype(np.float64), 16000, 1)
+    assert stage(frames).data.tobytes() == stage(wide).data.tobytes()
 
 
 class TestLogPowerSpectrum:
