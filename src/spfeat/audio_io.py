@@ -55,9 +55,6 @@ class AudioBuffer:
         # frozen: store the array form, so a list or tuple works downstream
         object.__setattr__(self, "samples", samples)
 
-    def __len__(self):
-        return len(self.samples)
-
 
 def samples_to_real(raw) -> np.ndarray:
     """Convert 16-bit integer samples to float64 via v / 32768."""

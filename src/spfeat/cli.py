@@ -218,7 +218,7 @@ def write_spfe(matrix, path) -> None:
     header = struct.pack("<4sHHII", SPFE_MAGIC, SPFE_VERSION, 0, rows, cols)
     with _replacing(path) as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(data, dtype="<f8"))
 
 
 def _expand_inputs(inputs: list[Path]) -> list[Path]:
@@ -291,7 +291,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if summary.files_failed == 0 else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -34,12 +34,6 @@ class FilterBank:
 
     weights: np.ndarray
     center_frequencies: np.ndarray
-    fft_length: int
-    sampling_frequency: int
-
-    @property
-    def num_filters(self) -> int:
-        return self.weights.shape[0]
 
 
 def hz_to_mel(f):
@@ -106,8 +100,7 @@ def build_filterbank(
     return _build_filterbank(num_filters, fft_length, sampling_frequency, low_freq, high_freq)
 
 
-# typed, so 16000 and 16000.0 are separate entries
-@functools.lru_cache(maxsize=32, typed=True)
+@functools.lru_cache(maxsize=32)
 def _build_filterbank(num_filters, fft_length, sampling_frequency, low_freq, high_freq):
     mel_points = np.linspace(hz_to_mel(low_freq), hz_to_mel(high_freq), num_filters + 2)
     hz_points = mel_to_hz(mel_points)
@@ -125,18 +118,12 @@ def _build_filterbank(num_filters, fft_length, sampling_frequency, low_freq, hig
     num_bins = fft_length // 2 + 1
     bin_freqs = np.arange(num_bins) * bin_spacing
 
-    weights = np.zeros((num_filters, num_bins))
-    for i in range(1, num_filters + 1):
-        left, peak, right = hz_points[i - 1], hz_points[i], hz_points[i + 1]
-        rising = (bin_freqs - left) / (peak - left)
-        falling = (right - bin_freqs) / (right - peak)
-        weights[i - 1] = np.maximum(0.0, np.minimum(rising, falling))
+    # row i - 1 is filter i: edges i - 1 and i + 1, peak i
+    left, peak, right = hz_points[:-2, None], hz_points[1:-1, None], hz_points[2:, None]
+    rising = (bin_freqs - left) / (peak - left)
+    falling = (right - bin_freqs) / (right - peak)
+    weights = np.maximum(0.0, np.minimum(rising, falling))
 
     weights.flags.writeable = False
     hz_points.flags.writeable = False
-    return FilterBank(
-        weights=weights,
-        center_frequencies=hz_points,
-        fft_length=fft_length,
-        sampling_frequency=sampling_frequency,
-    )
+    return FilterBank(weights=weights, center_frequencies=hz_points)

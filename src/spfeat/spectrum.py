@@ -35,8 +35,6 @@ class SpectrumMatrix:
 
     data: np.ndarray
     kind: str  # magnitude | power | log_power
-    fft_length: int
-    sampling_frequency: int
 
 
 def naive_dft(frame) -> np.ndarray:
@@ -58,8 +56,7 @@ def _half_spectra(frames: FrameMatrix, fft_length: int, kind: str, fill) -> Spec
     for s in range(0, frames.num_frames, ROW_BLOCK):
         rows = slice(s, s + ROW_BLOCK)
         fill(np.fft.rfft(data[rows], n=fft_length, axis=1), out[rows])
-    return SpectrumMatrix(data=out, kind=kind, fft_length=fft_length,
-                          sampling_frequency=frames.sampling_frequency)
+    return SpectrumMatrix(data=out, kind=kind)
 
 
 def fft_magnitude(frames: FrameMatrix, fft_length: int) -> SpectrumMatrix:

@@ -200,6 +200,19 @@ def _base_argv(without):
     return [arg for name, args in base.items() if name != without for arg in args]
 
 
+def _error_before_any_output(tmp_path, capsys, argv):
+    """Run the CLI, check that it exits 2 with one line on stderr, no summary
+    and no output directory, and return that line."""
+    out_dir = tmp_path / "out"
+    code = main(argv + ["--output-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert not out_dir.exists()
+    return captured.err
+
+
 SWITCHES = [name for name, (_, kind) in cli._OPTIONS.items() if kind is bool]
 AGREEMENT_TEXTS = ["7", " 7 ", "-5", "1e3", "x", ""]
 
@@ -287,6 +300,17 @@ class TestConfigFileReadsAsFlags:
         with pytest.raises(InvalidValueError) as from_file:
             parse_config(_base_argv(None) + ["--config", str(cfg)])
         assert str(from_file.value) == f"{cfg}:1: num_filters: {from_flag.value}"
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "absent.cfg"
+        err = _error_before_any_output(tmp_path, capsys, _base_argv(None) + ["--config", str(cfg)])
+        assert err.startswith(f"error: cannot read config file {cfg}: ")
+
+    def test_line_without_equals_exits_2_with_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("# job\nwindow hamming\n")
+        err = _error_before_any_output(tmp_path, capsys, _base_argv(None) + ["--config", str(cfg)])
+        assert err == f"error: {cfg}:2: expected 'key = value'\n"
 
 
 class TestWriteCsv:
@@ -725,6 +749,14 @@ class TestRunExtract:
         assert not out_dir.exists()
         with pytest.raises(MissingInputError):
             parse_config(["--feature", "mfe", *inputs])
+
+    def test_input_directory_without_wavs_exits_2(self, tmp_path, capsys):
+        clips = tmp_path / "clips"
+        clips.mkdir()
+        (clips / "notes.txt").write_text("not audio\n")
+        err = _error_before_any_output(tmp_path, capsys,
+                                       ["--feature", "mfcc", "--input", str(clips)])
+        assert err == "error: no .wav files found in input\n"
 
     def test_exit_code_2_on_bad_flags(self, capsys):
         assert main(["--feature", "mfcc"]) == 2

@@ -175,6 +175,40 @@ class TestBuildFilterbank:
         assert build_filterbank(26, 512, 16000, low_freq=0.0) is bank
 
 
+def _per_filter_reference(num_filters, fft_length, fs, low, high):
+    """The builder as one Python loop over the filters, row i - 1 for filter i."""
+    hz_points = mel_to_hz(np.linspace(hz_to_mel(low), hz_to_mel(high), num_filters + 2))
+    hz_points[0], hz_points[-1] = low, high
+    bin_freqs = np.arange(fft_length // 2 + 1) * (fs / fft_length)
+    weights = np.zeros((num_filters, fft_length // 2 + 1))
+    for i in range(1, num_filters + 1):
+        left, peak, right = hz_points[i - 1], hz_points[i], hz_points[i + 1]
+        rising = (bin_freqs - left) / (peak - left)
+        falling = (right - bin_freqs) / (right - peak)
+        weights[i - 1] = np.maximum(0.0, np.minimum(rising, falling))
+    return weights, hz_points
+
+
+class TestMatchesPerFilterLoop:
+    @pytest.mark.parametrize("band", [None, (300.0, 3400.0)], ids=["full", "telephone"])
+    @pytest.mark.parametrize("fs", [8000, 16000, 44100, 48000])
+    @pytest.mark.parametrize("fft_length", [256, 512, 1024, 2048])
+    @pytest.mark.parametrize("num_filters", [1, 5, 13, 26, 40, 64])
+    def test_bitwise(self, num_filters, fft_length, fs, band):
+        low, high = band or (0.0, fs / 2.0)
+        try:
+            bank = build_filterbank(num_filters, fft_length, fs, low, high)
+        except DegenerateFilterError:
+            pytest.skip("edges closer than one bin")
+        weights, edges = _per_filter_reference(num_filters, fft_length, fs, low, high)
+        assert bank.weights.shape == weights.shape
+        assert bank.weights.tobytes() == weights.tobytes()
+        assert bank.center_frequencies.tobytes() == edges.tobytes()
+
+    def test_int_and_float_rate_share_one_entry(self):
+        assert build_filterbank(26, 512, 16000) is build_filterbank(26, 512, 16000.0)
+
+
 class TestRulesWithoutRate:
     """The filter count and the band order need no sample rate, so a
     FeatureConfig checks them when it is built, as build_filterbank does."""
