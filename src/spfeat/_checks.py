@@ -7,6 +7,9 @@ import numpy as np
 
 from .errors import InvalidFftLengthError, InvalidParameterError
 
+# The longest FFT, and so the longest frame and stride stack_frames cuts.
+MAX_FFT_LENGTH = 65536
+
 
 def require_real(name: str, value, error=InvalidParameterError) -> None:
     """Raise error unless value is a real scalar (not a bool)."""
@@ -42,10 +45,13 @@ def require_type(name: str, value, cls) -> None:
 
 
 def require_fft_length(n, frame_length=1) -> None:
-    """Raise InvalidFftLengthError unless n is a power of two in [1, 65536], >= frame_length."""
-    if (not isinstance(n, numbers.Integral) or isinstance(n, bool) or not 1 <= n <= 65536
-            or n & (n - 1)):
-        raise InvalidFftLengthError(f"fft_length {n} is not a power of two in [1, 65536]")
+    """Raise InvalidFftLengthError unless n is a power of two in [1, MAX_FFT_LENGTH],
+    >= frame_length."""
+    if (not isinstance(n, numbers.Integral) or isinstance(n, bool)
+            or not 1 <= n <= MAX_FFT_LENGTH or n & (n - 1)):
+        raise InvalidFftLengthError(
+            f"fft_length {n} is not a power of two in [1, {MAX_FFT_LENGTH}]"
+        )
     if n < frame_length:
         raise InvalidFftLengthError(f"fft_length {n} shorter than frame length {frame_length}")
 

@@ -127,7 +127,7 @@ def mfe(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> Feature
         frame_stride_s=config.frame_stride_s,
         zero_padding=config.zero_padding,
     )
-    require_fft_length(config.fft_length, frames.frame_length)  # so it wins over band errors
+    require_fft_length(config.fft_length, frames.shape[1])  # so it wins over band errors
     bank = build_filterbank(
         config.num_filters,
         config.fft_length,
@@ -135,12 +135,12 @@ def mfe(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> Feature
         low_freq=config.low_freq,
         high_freq=config.high_freq,
     )
-    num_frames = frames.num_frames
+    num_frames = len(frames)
     energies = np.empty((num_frames, config.num_filters))
     frame_energies = np.empty(num_frames)
     for start in range(0, num_frames, MFE_BLOCK):
-        block = replace(frames, data=frames.data[start:start + MFE_BLOCK])
-        power = power_spectrum(apply_window(block, config.window), config.fft_length).data
+        block = frames[start:start + MFE_BLOCK]
+        power = power_spectrum(apply_window(block, config.window), config.fft_length)
         count = len(power)
         frame_energies[start:start + count] = power.sum(axis=1)
         if count < MFE_BLOCK < num_frames:

@@ -10,35 +10,18 @@ never duplicate samples.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from ._checks import require_flag, require_int, require_positive, require_real, require_type
+from ._checks import (MAX_FFT_LENGTH, require_flag, require_int, require_positive, require_real,
+                      require_type)
 from .audio_io import AudioBuffer
 from .errors import EmptySignalError, FrameTooLongError, InvalidParameterError
 
 # generalized cosine windows: w[n] = a0 - a1 * cos(2*pi*n / (L - 1))
 _WINDOWS = {"rectangular": (1.0, 0.0), "hamming": (0.54, 0.46), "hanning": (0.5, 0.5)}
 WINDOW_TYPES = tuple(_WINDOWS)
-
-
-@dataclass(frozen=True)
-class FrameMatrix:
-    """T x L matrix of overlapping frames cut from one signal."""
-
-    data: np.ndarray
-    sampling_frequency: int
-    frame_stride: int
-
-    @property
-    def num_frames(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def frame_length(self) -> int:
-        return self.data.shape[1]
 
 
 def require_alpha(alpha) -> None:
@@ -49,11 +32,9 @@ def require_alpha(alpha) -> None:
 
 
 def require_frames(frames) -> None:
-    """Raise InvalidParameterError unless frames is a FrameMatrix of 2-D int/uint/float data."""
-    require_type("frames", frames, FrameMatrix)
-    data = frames.data
-    if not (isinstance(data, np.ndarray) and data.ndim == 2 and data.dtype.kind in "iuf"):
-        raise InvalidParameterError(f"FrameMatrix data must be 2-D int or float, got {data!r:.80}")
+    """Raise InvalidParameterError unless frames is a 2-D int/uint/float array."""
+    if not (isinstance(frames, np.ndarray) and frames.ndim == 2 and frames.dtype.kind in "iuf"):
+        raise InvalidParameterError(f"frames must be a 2-D int or float array, got {frames!r:.80}")
 
 
 def require_window(kind) -> None:
@@ -77,20 +58,15 @@ def pre_emphasis(signal: AudioBuffer, alpha: float = 0.97) -> AudioBuffer:
     return replace(signal, samples=y)
 
 
-def _seconds_to_samples(duration_s: float, fs: int) -> int:
-    # round half away from zero; durations are positive here
-    return int(math.floor(duration_s * fs + 0.5))
-
-
 def stack_frames(
     signal: AudioBuffer,
     frame_length_s: float = 0.020,
     frame_stride_s: float = 0.010,
     zero_padding: bool = True,
-) -> FrameMatrix:
+) -> np.ndarray:
     """Cut the signal into overlapping frames of length L with hop S.
 
-    The frames are a read-only view: row t is samples t*S .. t*S + L - 1.
+    The frames are a read-only T x L view: row t is samples t*S .. t*S + L - 1.
     Without padding, trailing samples that do not fill a frame are dropped
     and a signal shorter than one frame is an error.  With padding the
     signal is extended with zeros so every sample lands in some frame.
@@ -101,12 +77,15 @@ def stack_frames(
     require_flag("zero_padding", zero_padding)
 
     fs = signal.sampling_frequency
-    length = _seconds_to_samples(frame_length_s, fs)
-    stride = _seconds_to_samples(frame_stride_s, fs)
-    if length < 1 or stride < 1:
+    # durations are positive, so int() of d * fs + 0.5 rounds half away from zero; the
+    # bound is checked on the float, before an absurd duration can size any array
+    length, stride = (d * fs + 0.5 for d in (frame_length_s, frame_stride_s))
+    if not (1 <= length < MAX_FFT_LENGTH + 1 and 1 <= stride < MAX_FFT_LENGTH + 1):
         raise InvalidParameterError(
-            f"frame length/stride round to {length}/{stride} samples at fs={fs}"
+            f"frame length/stride must round to 1 .. {MAX_FFT_LENGTH} samples at fs={fs}, "
+            f"got {frame_length_s}/{frame_stride_s} s"
         )
+    length, stride = int(length), int(stride)
 
     # contiguous, so the frames below can be a strided view of its buffer
     x = np.ascontiguousarray(signal.samples)
@@ -130,7 +109,7 @@ def stack_frames(
     step = x.itemsize
     frames = np.ndarray((num_frames, length), x.dtype, x, strides=(stride * step, step))
     frames.flags.writeable = False
-    return FrameMatrix(data=frames, sampling_frequency=fs, frame_stride=stride)
+    return frames
 
 
 def window_function(kind: str, length: int) -> np.ndarray:
@@ -161,8 +140,7 @@ def _window(kind: str, length: int) -> np.ndarray:
     return w
 
 
-def apply_window(frames: FrameMatrix, window: str = "rectangular") -> FrameMatrix:
-    """Multiply every frame elementwise by the chosen window."""
+def apply_window(frames: np.ndarray, window: str = "rectangular") -> np.ndarray:
+    """Multiply every row of a T x L frames array elementwise by the chosen window."""
     require_frames(frames)
-    w = window_function(window, frames.frame_length)
-    return replace(frames, data=frames.data * w)
+    return frames * window_function(window, frames.shape[1])

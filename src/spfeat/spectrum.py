@@ -12,12 +12,10 @@ oracle the test suite checks the spectra against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from ._checks import as_real_array, require_fft_length, require_flag
-from .preprocess import FrameMatrix, require_frames
+from .preprocess import require_frames
 
 # Power floor applied before taking logs: 10*log10(1e-30) = -300 dB.
 POWER_FLOOR = 1e-30
@@ -29,14 +27,6 @@ POWER_FLOOR = 1e-30
 ROW_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class SpectrumMatrix:
-    """T x K matrix of per-frame spectral values, K = fft_length/2 + 1."""
-
-    data: np.ndarray
-    kind: str  # magnitude | power | log_power
-
-
 def naive_dft(frame) -> np.ndarray:
     """DFT by its definition: X[k] = sum_n x[n] exp(-2*pi*i*k*n/N)."""
     x = as_real_array("frame", frame, (1,))
@@ -45,26 +35,26 @@ def naive_dft(frame) -> np.ndarray:
     return np.exp(-2j * np.pi * grid / n) @ x
 
 
-def _half_spectra(frames: FrameMatrix, fft_length: int, kind: str, fill) -> SpectrumMatrix:
-    """Check N, then run rfft over each block of frames and let
-    ``fill(X, out_rows)`` write the block's rows of the T x (N/2 + 1)
-    spectrum of the given kind from its half spectrum X."""
+def _half_spectra(frames: np.ndarray, fft_length: int, fill) -> np.ndarray:
+    """Check the T x L frames and N, then run rfft over each block of frames
+    and let ``fill(X, out_rows)`` write the block's rows of the T x (N/2 + 1)
+    spectrum from its half spectrum X."""
     require_frames(frames)
-    require_fft_length(fft_length, frames.frame_length)
-    data = frames.data.astype(np.float64, copy=False)  # rfft keeps float32 as complex64
-    out = np.empty((frames.num_frames, fft_length // 2 + 1))
-    for s in range(0, frames.num_frames, ROW_BLOCK):
+    require_fft_length(fft_length, frames.shape[1])
+    data = frames.astype(np.float64, copy=False)  # rfft keeps float32 as complex64
+    out = np.empty((len(frames), fft_length // 2 + 1))
+    for s in range(0, len(frames), ROW_BLOCK):
         rows = slice(s, s + ROW_BLOCK)
         fill(np.fft.rfft(data[rows], n=fft_length, axis=1), out[rows])
-    return SpectrumMatrix(data=out, kind=kind)
+    return out
 
 
-def fft_magnitude(frames: FrameMatrix, fft_length: int) -> SpectrumMatrix:
+def fft_magnitude(frames: np.ndarray, fft_length: int) -> np.ndarray:
     """Magnitude spectrum |X[k]| for bins k = 0 .. N/2 of each frame."""
-    return _half_spectra(frames, fft_length, "magnitude", lambda x, out: np.abs(x, out=out))
+    return _half_spectra(frames, fft_length, lambda x, out: np.abs(x, out=out))
 
 
-def power_spectrum(frames: FrameMatrix, fft_length: int) -> SpectrumMatrix:
+def power_spectrum(frames: np.ndarray, fft_length: int) -> np.ndarray:
     """Power spectrum P[k] = |X[k]|^2 / N of each frame."""
 
     def fill(x, out):
@@ -76,16 +66,14 @@ def power_spectrum(frames: FrameMatrix, fft_length: int) -> SpectrumMatrix:
         np.add(pairs[:, 0::2], pairs[:, 1::2], out=out)
         out *= 1.0 / fft_length
 
-    return _half_spectra(frames, fft_length, "power", fill)
+    return _half_spectra(frames, fft_length, fill)
 
 
-def log_power_spectrum(
-    frames: FrameMatrix, fft_length: int, normalize: bool = True
-) -> SpectrumMatrix:
+def log_power_spectrum(frames: np.ndarray, fft_length: int, normalize: bool = True) -> np.ndarray:
     """Power spectrum in dB, floored at -300 dB; optionally shifted to max 0."""
     require_flag("normalize", normalize)
     power = power_spectrum(frames, fft_length)
-    log_power = 10.0 * np.log10(np.maximum(power.data, POWER_FLOOR))
+    log_power = 10.0 * np.log10(np.maximum(power, POWER_FLOOR))
     if normalize:
         log_power = log_power - log_power.max()
-    return replace(power, data=log_power, kind="log_power")
+    return log_power

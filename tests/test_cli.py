@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import spfeat.cli as cli
 from spfeat import cmvn, extract_derivative, mfcc
 from spfeat._csvfmt import BLOCK_VALUES
-from spfeat.audio_io import AudioBuffer, samples_to_real
+from spfeat.audio_io import AudioBuffer, read_wav, samples_to_real
 from spfeat.cli import (
     JobSpec,
     main,
@@ -25,6 +25,7 @@ from spfeat.cli import (
 )
 from spfeat.errors import (
     CliError,
+    InvalidParameterError,
     InvalidValueError,
     MissingInputError,
     OutputCollisionError,
@@ -606,6 +607,13 @@ class TestWriteSpfe:
         np.testing.assert_array_equal(read_spfe(path), matrix)
 
 
+def _absurd_rate_wav(path):
+    """48 bytes whose header says 200 MHz, so a 20 ms frame is 4,000,000 samples."""
+    write_wav(path, [1, -1], sampling_frequency=200_000_000)
+    assert path.stat().st_size == 48
+    return path
+
+
 @pytest.fixture
 def fixture_dir(tmp_path):
     wavs = tmp_path / "wavs"
@@ -721,6 +729,30 @@ class TestRunExtract:
                      "--output-dir", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == f"FAIL {empty}: empty data chunk\n"
+
+    def test_absurd_sample_rate_fails_its_file_only(self, tmp_path, capsys):
+        wavs = tmp_path / "wavs"
+        wavs.mkdir()
+        write_wav(wavs / "alpha.wav", tone())
+        crafted = _absurd_rate_wav(wavs / "crafted.wav")
+        code = main(["--feature", "mfcc", "--input", str(wavs),
+                     "--output-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.strip().splitlines()[-1] == "OK=1 FAIL=1"
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"FAIL {crafted}: frame length/stride must round to 1 .. 65536")
+
+    def test_absurd_sample_rate_refused_before_framing(self, tmp_path):
+        wav = _absurd_rate_wav(tmp_path / "crafted.wav")
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameterError, match="must round to 1 .. 65536 samples"):
+                mfcc(read_wav(wav))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("below", [None, "sub"])
     def test_output_dir_that_is_a_file_exits_2(self, fixture_dir, tmp_path, capsys, below):

@@ -59,10 +59,11 @@ def test_integer_rule_has_one_home():
     ("num_filters must be <= ", {"mel_filterbank:require_filter_count"}),
     ("] must satisfy 0 <= low < high", {"mel_filterbank:require_band"}),
     ("shorter than frame length", {"_checks:require_fft_length"}),
-    ("FrameMatrix data must be", {"preprocess:require_frames"}),
+    ("frames must be a 2-D int or float array", {"preprocess:require_frames"}),
+    ("frame length/stride must round to", {"preprocess:stack_frames"}),
 ], ids=["power-of-two", "integer", "real-array", "finite", "positive", "alpha", "window",
         "sample-bound", "filter-count-low", "filter-count-high", "band", "fft-covers-frame",
-        "frame-data"])
+        "frame-data", "frame-bound"])
 def test_message_raised_in_one_place(text, homes):
     sites = _sites(lambda n: isinstance(n, ast.Constant) and isinstance(n.value, str)
                    and text in n.value)
@@ -89,13 +90,29 @@ def _calls(name):
 
 
 @pytest.mark.parametrize("record, homes", [
-    ("SpectrumMatrix", {"spectrum:_half_spectra"}),
     ("FeatureMatrix", {"features:mfe", "features:extract_derivative"}),
     ("AudioBuffer", {"audio_io:read_wav"}),
 ])
 def test_record_built_in_one_place(record, homes):
     """Every other stage derives its record from its source with replace."""
     assert _calls(record) == homes
+
+
+def test_frames_and_spectra_are_plain_arrays():
+    """No record type wraps a frames or spectrum array."""
+    assert not [p.stem for p in SOURCES
+                if "FrameMatrix" in p.read_text() or "SpectrumMatrix" in p.read_text()]
+
+
+def test_mfe_block_loop_builds_no_record():
+    records = {n.name for p in SOURCES for n in ast.walk(ast.parse(p.read_text()))
+               if isinstance(n, ast.ClassDef)}
+    mfe = _named(_tree("features"), ast.FunctionDef, "mfe")
+    loop = next(n for n in ast.walk(mfe) if isinstance(n, ast.For))
+    called = {n.func.id for n in ast.walk(loop)
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert {"apply_window", "power_spectrum"} <= called
+    assert not called & (records | {"replace"})
 
 
 def test_frame_rule_called_by_every_frame_stage():
