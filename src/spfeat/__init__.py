@@ -13,13 +13,14 @@ from .features import (
 from .mel_filterbank import FilterBank, build_filterbank, hz_to_mel, mel_to_hz
 from .postprocess import cmvn, cmvnw
 from .preprocess import apply_window, pre_emphasis, stack_frames
-from .spectrum import fft_magnitude, log_power_spectrum, naive_dft, power_spectrum
+from .spectrum import SpectrumMatrix, fft_magnitude, log_power_spectrum, naive_dft, power_spectrum
 
 __all__ = [
     "AudioBuffer",
     "FeatureConfig",
     "FeatureMatrix",
     "FilterBank",
+    "SpectrumMatrix",
     "apply_window",
     "build_filterbank",
     "cmvn",

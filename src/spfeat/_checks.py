@@ -7,7 +7,8 @@ import numpy as np
 
 from .errors import InvalidFftLengthError, InvalidParameterError
 
-# The longest FFT, and so the longest frame and stride stack_frames cuts.
+# The longest FFT.  stack_frames refuses longer frames (they fit no FFT) and
+# strides (they size the zero-padded signal) before any buffer is sized.
 MAX_FFT_LENGTH = 65536
 
 

@@ -140,7 +140,7 @@ def mfe(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> Feature
     frame_energies = np.empty(num_frames)
     for start in range(0, num_frames, MFE_BLOCK):
         block = frames[start:start + MFE_BLOCK]
-        power = power_spectrum(apply_window(block, config.window), config.fft_length)
+        power = power_spectrum(apply_window(block, config.window), config.fft_length).data
         count = len(power)
         frame_energies[start:start + count] = power.sum(axis=1)
         if count < MFE_BLOCK < num_frames:

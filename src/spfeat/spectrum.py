@@ -12,6 +12,8 @@ oracle the test suite checks the spectra against.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+
 import numpy as np
 
 from ._checks import as_real_array, require_fft_length, require_flag
@@ -27,6 +29,13 @@ POWER_FLOOR = 1e-30
 ROW_BLOCK = 64
 
 
+@dataclass(frozen=True)
+class SpectrumMatrix:
+    """T x K matrix of per-frame spectral values, K = fft_length/2 + 1."""
+
+    data: np.ndarray
+
+
 def naive_dft(frame) -> np.ndarray:
     """DFT by its definition: X[k] = sum_n x[n] exp(-2*pi*i*k*n/N)."""
     x = as_real_array("frame", frame, (1,))
@@ -35,7 +44,7 @@ def naive_dft(frame) -> np.ndarray:
     return np.exp(-2j * np.pi * grid / n) @ x
 
 
-def _half_spectra(frames: np.ndarray, fft_length: int, fill) -> np.ndarray:
+def _half_spectra(frames: np.ndarray, fft_length: int, fill) -> SpectrumMatrix:
     """Check the T x L frames and N, then run rfft over each block of frames
     and let ``fill(X, out_rows)`` write the block's rows of the T x (N/2 + 1)
     spectrum from its half spectrum X."""
@@ -46,15 +55,15 @@ def _half_spectra(frames: np.ndarray, fft_length: int, fill) -> np.ndarray:
     for s in range(0, len(frames), ROW_BLOCK):
         rows = slice(s, s + ROW_BLOCK)
         fill(np.fft.rfft(data[rows], n=fft_length, axis=1), out[rows])
-    return out
+    return SpectrumMatrix(data=out)
 
 
-def fft_magnitude(frames: np.ndarray, fft_length: int) -> np.ndarray:
+def fft_magnitude(frames: np.ndarray, fft_length: int) -> SpectrumMatrix:
     """Magnitude spectrum |X[k]| for bins k = 0 .. N/2 of each frame."""
     return _half_spectra(frames, fft_length, lambda x, out: np.abs(x, out=out))
 
 
-def power_spectrum(frames: np.ndarray, fft_length: int) -> np.ndarray:
+def power_spectrum(frames: np.ndarray, fft_length: int) -> SpectrumMatrix:
     """Power spectrum P[k] = |X[k]|^2 / N of each frame."""
 
     def fill(x, out):
@@ -69,11 +78,13 @@ def power_spectrum(frames: np.ndarray, fft_length: int) -> np.ndarray:
     return _half_spectra(frames, fft_length, fill)
 
 
-def log_power_spectrum(frames: np.ndarray, fft_length: int, normalize: bool = True) -> np.ndarray:
+def log_power_spectrum(
+    frames: np.ndarray, fft_length: int, normalize: bool = True
+) -> SpectrumMatrix:
     """Power spectrum in dB, floored at -300 dB; optionally shifted to max 0."""
     require_flag("normalize", normalize)
     power = power_spectrum(frames, fft_length)
-    log_power = 10.0 * np.log10(np.maximum(power, POWER_FLOOR))
+    log_power = 10.0 * np.log10(np.maximum(power.data, POWER_FLOOR))
     if normalize:
         log_power = log_power - log_power.max()
-    return log_power
+    return replace(power, data=log_power)

@@ -34,7 +34,7 @@ BAD_VALUES = {
 
 # plain records: they check nothing themselves, and every function that
 # takes one checks its type
-RECORDS = {"FeatureMatrix", "FilterBank"}
+RECORDS = {"FeatureMatrix", "FilterBank", "SpectrumMatrix"}
 
 _RNG = np.random.default_rng(0)
 SIGNAL = spfeat.AudioBuffer(_RNG.uniform(-0.5, 0.5, 1600), 16000)

@@ -83,8 +83,8 @@ def mfe_unblocked(signal, config=FeatureConfig()):
         low_freq=config.low_freq,
         high_freq=config.high_freq,
     )
-    energies = np.maximum(power @ bank.weights.T, ENERGY_FLOOR)
-    frame_energies = np.maximum(power.sum(axis=1), ENERGY_FLOOR)
+    energies = np.maximum(power.data @ bank.weights.T, ENERGY_FLOOR)
+    frame_energies = np.maximum(power.data.sum(axis=1), ENERGY_FLOOR)
     return FeatureMatrix(data=energies, kind="mfe", frame_energies=frame_energies)
 
 

@@ -157,6 +157,13 @@ class TestStackFrames:
             fm[0, 0] = 1.0
         assert fm.tolist() == brute_force_frames(x, 320, 160, zero_padding)
 
+    @pytest.mark.parametrize("zero_padding", [False, True])
+    def test_plain_ndarray_whose_buffer_has_its_shape(self, zero_padding):
+        # perfbench/tracing.py counts frames by result.data.shape[0]
+        fm = stack_frames(buf(np.ones(1077), 16000), 0.020, 0.010, zero_padding)
+        assert type(fm) is np.ndarray
+        assert fm.data.shape == fm.shape == (6 if zero_padding else 5, 320)
+
     def test_stride_equals_length_partitions(self):
         x = np.arange(17, dtype=float)
         fm = stack_frames(buf(x, fs=1000), 0.005, 0.005, zero_padding=True)

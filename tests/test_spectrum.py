@@ -40,24 +40,24 @@ class TestNaiveDft:
 class TestFftMagnitude:
     def test_dc_only(self):
         out = fft_magnitude(frames_of([[1, 1, 1, 1]]), 4)
-        np.testing.assert_allclose(out[0], [4, 0, 0], atol=1e-14)
+        np.testing.assert_allclose(out.data[0], [4, 0, 0], atol=1e-14)
 
     def test_impulse_flat(self):
         out = fft_magnitude(frames_of([[1, 0, 0, 0]]), 4)
-        np.testing.assert_allclose(out[0], [1, 1, 1], atol=1e-14)
+        np.testing.assert_allclose(out.data[0], [1, 1, 1], atol=1e-14)
 
     def test_matches_oracle(self):
         frame = [0, 1, 0, -1]
         out = fft_magnitude(frames_of([frame]), 4)
         np.testing.assert_allclose(
-            out[0], np.abs(naive_dft(frame))[:3], atol=1e-14
+            out.data[0], np.abs(naive_dft(frame))[:3], atol=1e-14
         )
 
     def test_zero_padding_to_fft_length(self):
         frame = [1.0, -2.0, 3.0]
         out = fft_magnitude(frames_of([frame]), 8)
         expected = np.abs(naive_dft(frame + [0] * 5))[:5]
-        np.testing.assert_allclose(out[0], expected, atol=1e-12)
+        np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
     @pytest.mark.parametrize("bad_n", [3, 6, 12, 0, 512.0, 7.0, True])
     def test_rejects_non_power_of_two(self, bad_n):
@@ -72,15 +72,15 @@ class TestFftMagnitude:
 class TestPowerSpectrum:
     def test_dc(self):
         out = power_spectrum(frames_of([[1, 1, 1, 1]]), 4)
-        np.testing.assert_allclose(out[0], [4, 0, 0], atol=1e-14)
+        np.testing.assert_allclose(out.data[0], [4, 0, 0], atol=1e-14)
 
     def test_zero_frame(self):
         out = power_spectrum(frames_of([[0, 0, 0, 0]]), 4)
-        assert out.tolist() == [[0, 0, 0]]
+        assert out.data.tolist() == [[0, 0, 0]]
 
     def test_matches_oracle(self):
         out = power_spectrum(frames_of([[0, 1, 0, -1]]), 4)
-        np.testing.assert_allclose(out[0], [0, 1, 0], atol=1e-14)
+        np.testing.assert_allclose(out.data[0], [0, 1, 0], atol=1e-14)
 
     @pytest.mark.parametrize("bad_n", [512.0, 4.0, True, "4", None])
     def test_rejects_non_integer_length(self, bad_n):
@@ -95,12 +95,12 @@ class TestPowerSpectrum:
 
     def test_largest_length(self):
         out = power_spectrum(frames_of([[1, 1, 1, 1]]), 65536)
-        assert out.shape == (1, 32769) and out[0, 0] == 16 / 65536
+        assert out.data.shape == (1, 32769) and out.data[0, 0] == 16 / 65536
 
     def test_nonnegative(self):
         rng = np.random.default_rng(7)
         out = power_spectrum(frames_of(rng.normal(size=(20, 32))), 32)
-        assert np.all(out >= 0)
+        assert np.all(out.data >= 0)
 
     def test_hand_built_frames_longer_than_fft(self):
         # the frame length is the data's width, so 5-sample rows are not cut to 4
@@ -109,12 +109,12 @@ class TestPowerSpectrum:
             power_spectrum(frames, 4)
 
 
-# every stage that takes a frames array
+# every stage that takes a frames array, giving its output array
 FRAME_STAGES = {
     "apply_window": lambda frames: apply_window(frames, "hamming"),
-    "power_spectrum": lambda frames: power_spectrum(frames, 8),
-    "fft_magnitude": lambda frames: fft_magnitude(frames, 8),
-    "log_power_spectrum": lambda frames: log_power_spectrum(frames, 8),
+    "power_spectrum": lambda frames: power_spectrum(frames, 8).data,
+    "fft_magnitude": lambda frames: fft_magnitude(frames, 8).data,
+    "log_power_spectrum": lambda frames: log_power_spectrum(frames, 8).data,
 }
 
 
@@ -141,22 +141,22 @@ def test_integer_and_narrow_float_frames_match_their_float64_copy(stage, dtype):
 class TestLogPowerSpectrum:
     def test_silence_floor(self):
         out = log_power_spectrum(frames_of(np.zeros((3, 4))), 4, normalize=False)
-        assert np.all(out == -300.0)
+        assert np.all(out.data == -300.0)
 
     def test_silence_normalized(self):
         out = log_power_spectrum(frames_of(np.zeros((3, 4))), 4, normalize=True)
-        assert np.all(out == 0.0)
+        assert np.all(out.data == 0.0)
 
     def test_dc_value(self):
         out = log_power_spectrum(frames_of([[1, 1, 1, 1]]), 4, normalize=False)
         np.testing.assert_allclose(
-            out[0], [6.020599913279624, -300.0, -300.0], rtol=1e-15
+            out.data[0], [6.020599913279624, -300.0, -300.0], rtol=1e-15
         )
 
     def test_normalize_sets_max_to_zero(self):
         rng = np.random.default_rng(11)
         out = log_power_spectrum(frames_of(rng.normal(size=(10, 16))), 16)
-        assert out.max() == 0.0
+        assert out.data.max() == 0.0
 
 
 class TestFftAgainstOracle:
@@ -165,7 +165,7 @@ class TestFftAgainstOracle:
         rng = np.random.default_rng(n)
         for _ in range(100):
             frame = rng.uniform(-1, 1, size=n)
-            out = fft_magnitude(frames_of([frame]), n)[0]
+            out = fft_magnitude(frames_of([frame]), n).data[0]
             oracle = np.abs(naive_dft(frame))[: n // 2 + 1]
             bound = 1e-9 * max(1.0, np.abs(frame).max() * n)
             assert np.abs(out - oracle).max() <= bound
@@ -201,7 +201,7 @@ class TestFftAtProductionSizes:
     def test_against_naive_dft(self, n):
         rng = np.random.default_rng(200 + n)
         rows = rng.uniform(-1, 1, size=(2 * ROW_BLOCK + 3, n))
-        out = fft_magnitude(frames_of(rows), n)
+        out = fft_magnitude(frames_of(rows), n).data
         # the first and last row of each block; the DFT matrix is N x N
         for r in (0, ROW_BLOCK - 1, ROW_BLOCK, 2 * ROW_BLOCK - 1, 2 * ROW_BLOCK + 2):
             oracle = np.abs(naive_dft(rows[r]))[: n // 2 + 1]
@@ -213,7 +213,7 @@ class TestFftAtProductionSizes:
         rng = np.random.default_rng(n + num_rows)
         for length in (n, 5 * n // 8):  # a short frame pads inside the block
             rows = rng.uniform(-1, 1, size=(num_rows, length))
-            out = fft_magnitude(frames_of(rows), n)
+            out = fft_magnitude(frames_of(rows), n).data
             oracle = np.abs(np.fft.rfft(rows, n=n, axis=1))
             assert out.shape == oracle.shape
             assert np.abs(out - oracle).max() <= 1e-12 * max(1.0, np.abs(rows).max() * n)
@@ -222,7 +222,7 @@ class TestFftAtProductionSizes:
     @pytest.mark.parametrize("n, length", [(1, 1), (2, 1), (2, 2)])
     def test_smallest_lengths_against_rfft(self, n, length, num_rows):
         rows = np.random.default_rng(num_rows).uniform(-1, 1, size=(num_rows, length))
-        out = fft_magnitude(frames_of(rows), n)
+        out = fft_magnitude(frames_of(rows), n).data
         np.testing.assert_allclose(
             out, np.abs(np.fft.rfft(rows, n=n, axis=1)), rtol=0, atol=1e-15
         )
@@ -231,15 +231,15 @@ class TestFftAtProductionSizes:
     def test_power_is_squared_magnitude_over_n(self, n):
         rows = np.random.default_rng(n).normal(size=(2 * ROW_BLOCK + 3, max(1, n - 3)))
         frames = frames_of(rows)
-        expected = fft_magnitude(frames, n) ** 2 / n
-        np.testing.assert_allclose(power_spectrum(frames, n), expected, rtol=1e-12)
+        expected = fft_magnitude(frames, n).data ** 2 / n
+        np.testing.assert_allclose(power_spectrum(frames, n).data, expected, rtol=1e-12)
 
     @pytest.mark.parametrize("n", PRODUCTION_SIZES)
     def test_power_against_naive_dft(self, n):
         rng = np.random.default_rng(300 + n)
         for length in (n, 5 * n // 8):  # a short frame is zero-padded to N
             rows = rng.uniform(-1, 1, size=(2 * ROW_BLOCK + 3, length))
-            out = power_spectrum(frames_of(rows), n)
+            out = power_spectrum(frames_of(rows), n).data
             assert out.shape == (len(rows), n // 2 + 1)
             for r in EDGE_ROWS:
                 padded = np.concatenate([rows[r], np.zeros(n - length)])
@@ -277,7 +277,7 @@ class TestBitwiseAgainstEarlierForms:
         rng = np.random.default_rng(num_frames + n)
         rows = scale * rng.normal(size=(num_frames, 5 * n // 8))
         frames = apply_window(frames_of(rows), window)
-        assert power_spectrum(frames, n).tobytes() == (
+        assert power_spectrum(frames, n).data.tobytes() == (
             power_spectrum_temporaries(frames, n).tobytes()
         )
-        assert fft_magnitude(frames, n).tobytes() == magnitude_per_block(frames, n).tobytes()
+        assert fft_magnitude(frames, n).data.tobytes() == magnitude_per_block(frames, n).tobytes()
