@@ -10,7 +10,7 @@ from .features import (
     mfcc,
     mfe,
 )
-from .mel_filterbank import FilterBank, build_filterbank, hz_to_mel, mel_to_hz
+from .mel_filterbank import build_filterbank, hz_to_mel, mel_to_hz
 from .postprocess import cmvn, cmvnw
 from .preprocess import apply_window, pre_emphasis, stack_frames
 from .spectrum import SpectrumMatrix, fft_magnitude, log_power_spectrum, naive_dft, power_spectrum
@@ -19,7 +19,6 @@ __all__ = [
     "AudioBuffer",
     "FeatureConfig",
     "FeatureMatrix",
-    "FilterBank",
     "SpectrumMatrix",
     "apply_window",
     "build_filterbank",

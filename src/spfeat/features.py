@@ -26,15 +26,14 @@ MFE_BLOCK = 1024
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """T x D matrix of per-frame features.
+    """T x D matrix of per-frame features, with the total power of each frame.
 
-    frame_energies holds total per-frame power for mfe/lmfe/mfcc and is
-    None for derivative-stacked output.
+    frame_energies is mfe's per-frame power sum, kept by lmfe and mfcc;
+    extract_derivative's stacked output has none.
     """
 
     data: np.ndarray
-    kind: str  # mfe | lmfe | mfcc | derivative_stacked
-    frame_energies: np.ndarray | None = None
+    frame_energies: np.ndarray | None = None  # length T, or None after extract_derivative
 
     @property
     def num_frames(self) -> int:
@@ -147,18 +146,18 @@ def mfe(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> Feature
             # OpenBLAS takes another path for short matrices; a zero-filled
             # full-height block keeps these rows bit-identical to the others
             power = np.concatenate([power, np.zeros((MFE_BLOCK - count, power.shape[1]))])
-        energies[start:start + count] = (power @ bank.weights.T)[:count]
+        energies[start:start + count] = (power @ bank.T)[:count]
         del power  # freed before the next block's window and spectrum exist
     np.maximum(energies, ENERGY_FLOOR, out=energies)
     np.maximum(frame_energies, ENERGY_FLOOR, out=frame_energies)
-    return FeatureMatrix(data=energies, kind="mfe", frame_energies=frame_energies)
+    return FeatureMatrix(data=energies, frame_energies=frame_energies)
 
 
 def lmfe(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
     """Natural log of the mel filterbank energies."""
     energies = mfe(signal, config)
     # mfe's fresh array, ours to reuse
-    return replace(energies, data=np.log(energies.data, out=energies.data), kind="lmfe")
+    return replace(energies, data=np.log(energies.data, out=energies.data))
 
 
 def mfcc(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
@@ -177,7 +176,7 @@ def mfcc(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> Featur
     first = 1 if config.dc_elimination else 0
     # a C-ordered copy of the kept columns, so the T x num_filters cepstra can go
     kept = cepstra[:, first : first + config.num_cepstral].copy()
-    return replace(log_energies, data=kept, kind="mfcc")
+    return replace(log_energies, data=kept)
 
 
 def _delta(data: np.ndarray, half_width: int) -> np.ndarray:
@@ -212,7 +211,4 @@ def extract_derivative(
     data = as_real_array("features (a FeatureMatrix of 2-D real data)", features.data, (2,))
     delta = _delta(data, window_half_width)
     delta_delta = _delta(delta, window_half_width)
-    return FeatureMatrix(
-        data=np.concatenate([data, delta, delta_delta], axis=1),
-        kind="derivative_stacked",
-    )
+    return FeatureMatrix(data=np.concatenate([data, delta, delta_delta], axis=1))

@@ -3,14 +3,15 @@
 Filter edges are equally spaced on the mel axis; the triangles are
 linear in Hz between those edges and evaluated at the exact FFT bin
 frequencies, so adjacent filters sum to exactly 1 between the first and
-last peaks.  Banks are cached per (num_filters, fft_length, rate, band)
-and shared between callers, so their arrays are read-only.
+last peaks.  A bank is the M x (N/2 + 1) weights array, as SpeechPy's
+``filterbanks`` returns it; banks are cached per (num_filters,
+fft_length, rate, band) and shared between callers, so they are
+read-only.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,14 +27,6 @@ from .errors import (
 # HTK-style mel scale constants
 _MEL_SCALE = 2595.0
 _MEL_BREAK_HZ = 700.0
-
-
-@dataclass(frozen=True)
-class FilterBank:
-    """M x K triangular filter weights plus the M+2 edge/peak frequencies."""
-
-    weights: np.ndarray
-    center_frequencies: np.ndarray
 
 
 def hz_to_mel(f):
@@ -86,12 +79,12 @@ def build_filterbank(
     sampling_frequency: int,
     low_freq: float = 0.0,
     high_freq: float | None = None,
-) -> FilterBank:
-    """Build M triangular mel filters over the K = N/2 + 1 FFT bins.
+) -> np.ndarray:
+    """The M x K weights of M triangular mel filters over the K = N/2 + 1 FFT bins.
 
     Filter i rises linearly in Hz from 0 at edge i-1 to 1 at peak i and
-    falls back to 0 at edge i+1.  The result is cached per arguments and
-    shared; its weights and frequencies are read-only.
+    falls back to 0 at edge i+1.  The array is cached per arguments and
+    shared, so it is read-only.
     """
     # before the cache key and any array, so a bad argument is a typed error
     require_filter_count(num_filters, fft_length)
@@ -125,5 +118,4 @@ def _build_filterbank(num_filters, fft_length, sampling_frequency, low_freq, hig
     weights = np.maximum(0.0, np.minimum(rising, falling))
 
     weights.flags.writeable = False
-    hz_points.flags.writeable = False
-    return FilterBank(weights=weights, center_frequencies=hz_points)
+    return weights

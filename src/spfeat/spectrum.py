@@ -85,6 +85,6 @@ def log_power_spectrum(
     require_flag("normalize", normalize)
     power = power_spectrum(frames, fft_length)
     log_power = 10.0 * np.log10(np.maximum(power.data, POWER_FLOOR))
-    if normalize:
+    if normalize and len(log_power):  # zero frames have no maximum to shift to 0
         log_power = log_power - log_power.max()
     return replace(power, data=log_power)

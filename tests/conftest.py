@@ -1,4 +1,4 @@
-"""Shared helpers: independent WAV synthesis and SPFE read-back."""
+"""Shared helpers: independent WAV synthesis, SPFE read-back and mel filter edges."""
 
 import io
 import os
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import spfeat
+from spfeat.mel_filterbank import hz_to_mel, mel_to_hz
 
 
 @pytest.fixture(autouse=True)
@@ -55,3 +56,10 @@ def read_spfe(path):
     values = np.frombuffer(blob, dtype="<f8", offset=16)
     assert len(values) == rows * cols
     return values.reshape(rows, cols)
+
+
+def mel_edges(num_filters, low, high):
+    """The M + 2 filter edges, equally spaced in mel from low to high, endpoints pinned."""
+    edges = mel_to_hz(np.linspace(hz_to_mel(low), hz_to_mel(high), num_filters + 2))
+    edges[0], edges[-1] = low, high
+    return edges

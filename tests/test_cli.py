@@ -31,7 +31,7 @@ from spfeat.errors import (
     OutputCollisionError,
     UnknownKeyError,
 )
-from spfeat.features import FeatureConfig, FeatureMatrix
+from spfeat.features import FeatureConfig
 
 from conftest import read_spfe, write_wav
 
@@ -335,8 +335,7 @@ class TestWriteCsv:
 
 def write_csv_repr(matrix, path) -> None:
     """The oracle: the earlier writer, Python's repr per value."""
-    data = matrix.data if isinstance(matrix, FeatureMatrix) else matrix
-    rows = np.asarray(data, dtype=np.float64).tolist()
+    rows = np.asarray(matrix, dtype=np.float64).tolist()
     with open(path, "w", newline="") as fh:
         fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
@@ -466,7 +465,7 @@ class TestCsvMatchesRepr:
         signal = AudioBuffer(samples_to_real(_gapped_clip(seed)), 16000)
         out = cmvn(extract_derivative(mfcc(signal)), variance_normalization=True)
         assert np.abs(out.data[out.data != 0]).min() < 2e-18
-        assert_csv_matches_repr(tmp_path, out)
+        assert_csv_matches_repr(tmp_path, out.data)
 
     @pytest.mark.parametrize("rows", [BLOCK_VALUES // 39 - 1, BLOCK_VALUES // 39,
                                       BLOCK_VALUES // 39 + 1, 2 * (BLOCK_VALUES // 39) + 3])
@@ -485,10 +484,6 @@ class TestCsvMatchesRepr:
     def test_integer_and_float32_input(self, tmp_path):
         assert_csv_matches_repr(tmp_path, np.arange(-60, 60, dtype=np.int64).reshape(8, 15) ** 7)
         assert_csv_matches_repr(tmp_path, np.linspace(-3, 3, 120, dtype=np.float32).reshape(8, 15))
-
-    def test_feature_matrix_input(self, tmp_path):
-        data = np.random.default_rng(2).normal(size=(5, 13))
-        assert_csv_matches_repr(tmp_path, FeatureMatrix(data=data, kind="mfcc"))
 
     @given(hnp.arrays(
         np.float64,
@@ -603,7 +598,7 @@ class TestWriteSpfe:
         rng = np.random.default_rng(5)
         matrix = rng.normal(size=(7, 4))
         path = tmp_path / "m.spfe"
-        write_spfe(FeatureMatrix(data=matrix, kind="mfcc"), path)
+        write_spfe(matrix, path)
         np.testing.assert_array_equal(read_spfe(path), matrix)
 
 

@@ -34,12 +34,12 @@ BAD_VALUES = {
 
 # plain records: they check nothing themselves, and every function that
 # takes one checks its type
-RECORDS = {"FeatureMatrix", "FilterBank", "SpectrumMatrix"}
+RECORDS = {"FeatureMatrix", "SpectrumMatrix"}
 
 _RNG = np.random.default_rng(0)
 SIGNAL = spfeat.AudioBuffer(_RNG.uniform(-0.5, 0.5, 1600), 16000)
 FRAMES = spfeat.stack_frames(SIGNAL)
-FEATURES = spfeat.FeatureMatrix(data=_RNG.normal(size=(20, 4)), kind="mfcc")
+FEATURES = spfeat.FeatureMatrix(data=_RNG.normal(size=(20, 4)))
 WAV_NAME = "clip.wav"  # in each test's working directory
 
 # callable -> a valid value for each of its parameters

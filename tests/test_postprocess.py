@@ -64,12 +64,10 @@ class TestCmvn:
     def test_preserves_feature_matrix(self):
         feats = FeatureMatrix(
             data=np.arange(6, dtype=float).reshape(3, 2),
-            kind="mfcc",
             frame_energies=np.ones(3),
         )
         out = cmvn(feats)
         assert isinstance(out, FeatureMatrix)
-        assert out.kind == "mfcc"
         assert out.frame_energies is feats.frame_energies
 
     def test_single_frame_variance_is_zero_output(self):
@@ -150,14 +148,13 @@ class TestCmvnw:
             np.testing.assert_array_equal(out[t], expected)
 
     def test_preserves_feature_matrix(self):
-        feats = FeatureMatrix(data=np.random.default_rng(0).normal(size=(9, 2)), kind="lmfe")
+        feats = FeatureMatrix(data=np.random.default_rng(0).normal(size=(9, 2)))
         out = cmvnw(feats, win_size=3)
         assert isinstance(out, FeatureMatrix)
-        assert out.kind == "lmfe"
 
     def test_integer_feature_matrix(self):
         data = np.array([[0, 1], [3, 4], [6, 8]])
-        out = cmvnw(FeatureMatrix(data=data, kind="mfe"), win_size=3)
+        out = cmvnw(FeatureMatrix(data=data), win_size=3)
         np.testing.assert_array_equal(out.data, cmvnw(data.astype(float), win_size=3))
 
     def test_numpy_integer_window(self):
@@ -226,7 +223,7 @@ def test_cmvn_bitwise_on_one_column_vector():
     lambda: cmvn("abc"),
     lambda: cmvn([[1.0], ["x"]], True),
     lambda: cmvnw([["a"]], 3),
-    lambda: cmvnw(FeatureMatrix(data=[[object()]], kind="mfcc"), 3),
+    lambda: cmvnw(FeatureMatrix(data=[[object()]]), 3),
 ], ids=["cmvn-str", "cmvn-mixed", "cmvnw-str", "cmvnw-object"])
 def test_non_numeric_features_rejected(call):
     with pytest.raises(InvalidParameterError, match="array of reals"):

@@ -1,6 +1,7 @@
 """Each parameter rule and frame-path fact has one home in the package source."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,21 @@ def test_record_built_in_one_place(record, homes):
 def test_frames_are_plain_arrays():
     """No record type wraps a frames array."""
     assert not [p.stem for p in SOURCES if "FrameMatrix" in p.read_text()]
+
+
+def test_filterbank_is_a_plain_array():
+    """build_filterbank returns the weights array; no record or edge field is left."""
+    names = ("FilterBank", "center_frequencies")
+    assert not [p.stem for p in SOURCES if any(n in p.read_text() for n in names)]
+
+
+def test_feature_matrix_holds_only_what_is_read():
+    assert [f.name for f in dataclasses.fields(spfeat.FeatureMatrix)] == ["data", "frame_energies"]
+
+
+def test_cli_writers_take_arrays():
+    """_process_file hands the writers the feature array, so cli.py names no record."""
+    assert "FeatureMatrix" not in next(p for p in SOURCES if p.stem == "cli").read_text()
 
 
 def test_mfe_block_loop_builds_no_record():

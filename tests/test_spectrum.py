@@ -138,6 +138,12 @@ def test_integer_and_narrow_float_frames_match_their_float64_copy(stage, dtype):
     assert stage(frames).tobytes() == stage(wide).tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("stage", FRAME_STAGES.values(), ids=FRAME_STAGES.keys())
+def test_zero_frames_give_an_empty_result(stage):
+    assert len(stage(np.zeros((0, 4)))) == 0
+
+
 class TestLogPowerSpectrum:
     def test_silence_floor(self):
         out = log_power_spectrum(frames_of(np.zeros((3, 4))), 4, normalize=False)
