@@ -4,7 +4,6 @@ from .audio_io import AudioBuffer, read_wav, samples_to_real
 from .features import (
     FeatureConfig,
     FeatureMatrix,
-    dct_ii_ortho,
     extract_derivative,
     lmfe,
     mfcc,
@@ -13,7 +12,7 @@ from .features import (
 from .mel_filterbank import build_filterbank, hz_to_mel, mel_to_hz
 from .postprocess import cmvn, cmvnw
 from .preprocess import apply_window, pre_emphasis, stack_frames
-from .spectrum import SpectrumMatrix, fft_magnitude, log_power_spectrum, naive_dft, power_spectrum
+from .spectrum import SpectrumMatrix, fft_magnitude, log_power_spectrum, power_spectrum
 
 __all__ = [
     "AudioBuffer",
@@ -24,7 +23,6 @@ __all__ = [
     "build_filterbank",
     "cmvn",
     "cmvnw",
-    "dct_ii_ortho",
     "extract_derivative",
     "fft_magnitude",
     "hz_to_mel",
@@ -33,7 +31,6 @@ __all__ = [
     "mel_to_hz",
     "mfcc",
     "mfe",
-    "naive_dft",
     "power_spectrum",
     "pre_emphasis",
     "read_wav",

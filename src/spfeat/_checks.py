@@ -11,6 +11,11 @@ from .errors import InvalidFftLengthError, InvalidParameterError
 # strides (they size the zero-padded signal) before any buffer is sized.
 MAX_FFT_LENGTH = 65536
 
+# The most frames one post-processing window spans: cmvnw's win_size, and the
+# 2 * window_half_width + 1 frames of a delta.  Past it the edge padding alone
+# would outgrow any recording, and fail in allocation, not with a typed error.
+MAX_WINDOW_FRAMES = 65535
+
 
 def require_real(name: str, value, error=InvalidParameterError) -> None:
     """Raise error unless value is a real scalar (not a bool)."""

@@ -230,8 +230,8 @@ def _expand_inputs(inputs: list[Path]) -> list[Path]:
 
 
 def _process_file(wav_path: Path, spec: JobSpec, out_path: Path) -> None:
-    signal = read_wav(wav_path)
-    features = _FEATURE_FNS[spec.feature](signal, spec.config)
+    # the one unwrap: from here only arrays flow, and the signal is already freed
+    features = _FEATURE_FNS[spec.feature](read_wav(wav_path), spec.config).data
     if spec.derivatives:
         features = extract_derivative(features)
     if spec.postprocess != "none":
@@ -242,9 +242,9 @@ def _process_file(wav_path: Path, spec: JobSpec, out_path: Path) -> None:
         features = normalize(features, variance_normalization=bool(var), **extra)
     # positional: the benchmark's byte counters read the path as args[1]
     if spec.format == "csv":
-        write_csv(features.data, out_path)
+        write_csv(features, out_path)
     else:
-        write_spfe(features.data, out_path)
+        write_spfe(features, out_path)
 
 
 def run_extract(spec: JobSpec) -> Summary:

@@ -64,11 +64,11 @@ class DegenerateFilterError(InvalidParameterError):
 # postprocess
 
 class EmptyFeaturesError(SpfeatError):
-    """Normalization requires at least one frame."""
+    """Deltas and normalization require at least one frame."""
 
 
 class InvalidWindowError(InvalidParameterError):
-    """Sliding normalization window must be odd and >= 3."""
+    """Sliding normalization window must be odd and in [3, _checks.MAX_WINDOW_FRAMES]."""
 
 
 # cli

@@ -8,10 +8,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._checks import (as_real_array, require_fft_length, require_flag, require_int, require_real,
-                      require_type)
+from ._checks import (MAX_WINDOW_FRAMES, as_real_array, require_fft_length, require_flag,
+                      require_int, require_real, require_type)
 from .audio_io import AudioBuffer
-from .errors import InvalidParameterError
+from .errors import EmptyFeaturesError, InvalidParameterError
 from .mel_filterbank import build_filterbank, require_band, require_filter_count
 from .preprocess import apply_window, pre_emphasis, require_alpha, require_window, stack_frames
 from .spectrum import power_spectrum
@@ -28,16 +28,30 @@ MFE_BLOCK = 1024
 class FeatureMatrix:
     """T x D matrix of per-frame features, with the total power of each frame.
 
-    frame_energies is mfe's per-frame power sum, kept by lmfe and mfcc;
-    extract_derivative's stacked output has none.
+    frame_energies is mfe's per-frame power sum, kept by every later stage;
+    it is None only in a record built by hand.
     """
 
     data: np.ndarray
-    frame_energies: np.ndarray | None = None  # length T, or None after extract_derivative
+    frame_energies: np.ndarray | None = None  # length T
 
     @property
     def num_frames(self) -> int:
         return self.data.shape[0]
+
+
+def _as_array(features, name, ndims):
+    """The data of a FeatureMatrix or a plain array, checked, with at least one frame."""
+    data = features.data if isinstance(features, FeatureMatrix) else features
+    x = as_real_array(name, data, ndims)
+    if x.shape[0] == 0:
+        raise EmptyFeaturesError(f"{name} must have at least one frame")
+    return x
+
+
+def _wrap(features, data):
+    """data as the same kind as features: a record keeps its frame_energies."""
+    return replace(features, data=data) if isinstance(features, FeatureMatrix) else data
 
 
 def _stage_default(stage, name: str):
@@ -104,14 +118,6 @@ def _dct_matrix(size: int) -> np.ndarray:
     return basis
 
 
-def dct_ii_ortho(row) -> np.ndarray:
-    """Orthonormal DCT-II of a single row."""
-    x = as_real_array("row", row, (1,))
-    if not len(x):
-        raise InvalidParameterError("dct_ii_ortho needs a non-empty row")
-    return _dct_matrix(len(x)) @ x
-
-
 def mfe(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
     """Mel filterbank energies: triangular-filter dot products of the power spectrum.
 
@@ -170,7 +176,7 @@ def mfcc(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> Featur
     require_type("config", config, FeatureConfig)
     config.validate_dc_elimination()
     log_energies = lmfe(signal, config)
-    # one matvec per row, stacked: bit-identical to dct_ii_ortho on each row
+    # one matvec per row, stacked: bit-identical to _dct_matrix(M) @ row on each row
     basis = _dct_matrix(config.num_filters)
     cepstra = np.matmul(basis, log_energies.data[:, :, None])[:, :, 0]
     first = 1 if config.dc_elimination else 0
@@ -183,9 +189,8 @@ def _delta(data: np.ndarray, half_width: int) -> np.ndarray:
     # least-squares slope over a +-half_width window with edge replication
     num_frames = data.shape[0]
     denom = 2.0 * sum(n * n for n in range(1, half_width + 1))
-    # row t + half_width of the extended copy is frame t; past either end,
-    # the edge frame repeats
-    ext = np.concatenate([data[:1]] * half_width + [data] + [data[-1:]] * half_width)
+    # row t + half_width of the padded copy is frame t
+    ext = np.pad(data, ((half_width, half_width), (0, 0)), mode="edge")
     out = np.zeros_like(data)
     diff = np.empty_like(data)
     for n in range(1, half_width + 1):
@@ -194,21 +199,21 @@ def _delta(data: np.ndarray, half_width: int) -> np.ndarray:
         np.subtract(ahead, behind, out=diff)
         diff *= n
         out += diff
-    return out / denom
+    out /= denom
+    return out
 
 
-def extract_derivative(
-    features: FeatureMatrix, window_half_width: int = 2
-) -> FeatureMatrix:
-    """Stack features with their deltas and delta-deltas: [static | d | dd]."""
+def extract_derivative(features, window_half_width: int = 2):
+    """Stack features with their deltas and delta-deltas: [static | d | dd].
+
+    Takes a T x D array or a FeatureMatrix and returns the same kind.
+    """
     require_int("window_half_width", window_half_width)
-    if window_half_width < 1:
-        raise InvalidParameterError(f"window_half_width must be >= 1, got {window_half_width}")
-    if not (isinstance(features, FeatureMatrix) and isinstance(features.data, np.ndarray)):
+    if not 1 <= window_half_width <= MAX_WINDOW_FRAMES // 2:
         raise InvalidParameterError(
-            f"extract_derivative needs a FeatureMatrix of 2-D real data, got {features!r:.80}"
+            f"window_half_width must be in [1, {MAX_WINDOW_FRAMES // 2}], got {window_half_width}"
         )
-    data = as_real_array("features (a FeatureMatrix of 2-D real data)", features.data, (2,))
+    data = _as_array(features, "features (a T x D matrix)", (2,))
     delta = _delta(data, window_half_width)
     delta_delta = _delta(delta, window_half_width)
-    return FeatureMatrix(data=np.concatenate([data, delta, delta_delta], axis=1))
+    return _wrap(features, np.concatenate([data, delta, delta_delta], axis=1))

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from ._checks import as_real_array, require_flag, require_int
-from .errors import EmptyFeaturesError, InvalidWindowError
-from .features import FeatureMatrix
+from ._checks import MAX_WINDOW_FRAMES, require_flag, require_int
+from .errors import InvalidWindowError
+from .features import _as_array, _wrap
 
 # Guard added to the standard deviation before dividing.
 _SIGMA_GUARD = 1e-10
@@ -19,18 +17,6 @@ DEFAULT_WIN_SIZE = 301
 # were within noise on 15000x39 features with win_size 301, and 1024 was
 # fastest on 6000x13, where per-call overhead weighs more.
 FRAME_BLOCK = 1024
-
-
-def _as_array(features, name, ndims):
-    data = features.data if isinstance(features, FeatureMatrix) else features
-    x = as_real_array(name, data, ndims)
-    if x.shape[0] == 0:
-        raise EmptyFeaturesError(f"{name} must have at least one frame")
-    return x
-
-
-def _wrap(features, data):
-    return replace(features, data=data) if isinstance(features, FeatureMatrix) else data
 
 
 def cmvn(features, variance_normalization: bool = False):
@@ -49,10 +35,12 @@ def cmvn(features, variance_normalization: bool = False):
 
 
 def validate_win_size(win_size: int) -> None:
-    """Raise InvalidWindowError unless the cmvnw window is an odd integer >= 3."""
+    """Raise InvalidWindowError unless win_size is an odd integer in [3, MAX_WINDOW_FRAMES]."""
     require_int("win_size", win_size, InvalidWindowError)
-    if win_size < 3 or win_size % 2 == 0:
-        raise InvalidWindowError(f"win_size must be odd and >= 3, got {win_size}")
+    if not 3 <= win_size <= MAX_WINDOW_FRAMES or win_size % 2 == 0:
+        raise InvalidWindowError(
+            f"win_size must be odd and in [3, {MAX_WINDOW_FRAMES}], got {win_size}"
+        )
 
 
 def cmvnw(

@@ -5,9 +5,6 @@ Frames go through it ROW_BLOCK at a time, zero-padded to the FFT length
 N by rfft itself, and each block's half spectrum is written straight
 into the T x (N/2 + 1) result, so the complex temporary never grows
 with the number of frames.
-
-``naive_dft``, the O(N^2) defining sum, is kept here as the independent
-oracle the test suite checks the spectra against.
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._checks import as_real_array, require_fft_length, require_flag
+from ._checks import require_fft_length, require_flag
 from .preprocess import require_frames
 
 # Power floor applied before taking logs: 10*log10(1e-30) = -300 dB.
@@ -34,14 +31,6 @@ class SpectrumMatrix:
     """T x K matrix of per-frame spectral values, K = fft_length/2 + 1."""
 
     data: np.ndarray
-
-
-def naive_dft(frame) -> np.ndarray:
-    """DFT by its definition: X[k] = sum_n x[n] exp(-2*pi*i*k*n/N)."""
-    x = as_real_array("frame", frame, (1,))
-    n = len(x)
-    grid = np.outer(np.arange(n), np.arange(n))
-    return np.exp(-2j * np.pi * grid / n) @ x
 
 
 def _half_spectra(frames: np.ndarray, fft_length: int, fill) -> SpectrumMatrix:

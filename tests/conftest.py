@@ -1,4 +1,5 @@
-"""Shared helpers: independent WAV synthesis, SPFE read-back and mel filter edges."""
+"""Shared helpers: independent WAV synthesis, SPFE read-back, mel filter edges,
+and the DFT and DCT oracles."""
 
 import io
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import spfeat
+from spfeat.features import _dct_matrix
 from spfeat.mel_filterbank import hz_to_mel, mel_to_hz
 
 
@@ -63,3 +65,19 @@ def mel_edges(num_filters, low, high):
     edges = mel_to_hz(np.linspace(hz_to_mel(low), hz_to_mel(high), num_filters + 2))
     edges[0], edges[-1] = low, high
     return edges
+
+
+def naive_dft(frame):
+    """DFT by its definition, X[k] = sum_n x[n] exp(-2*pi*i*k*n/N): the O(N^2)
+    oracle for the spectra, sharing no code with the package."""
+    x = np.asarray(frame, dtype=np.float64)
+    n = len(x)
+    grid = np.outer(np.arange(n), np.arange(n))
+    return np.exp(-2j * np.pi * grid / n) @ x
+
+
+def dct_ii_ortho(row):
+    """Orthonormal DCT-II of one row, through the basis mfcc multiplies by; the
+    basis itself is checked against the defining sum in test_features.py."""
+    x = np.asarray(row, dtype=np.float64)
+    return _dct_matrix(len(x)) @ x

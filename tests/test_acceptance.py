@@ -12,13 +12,13 @@ import pytest
 
 from spfeat.audio_io import AudioBuffer
 from spfeat.cli import main, parse_config, run_extract
-from spfeat.features import FeatureConfig, FeatureMatrix, dct_ii_ortho, mfcc, mfe
+from spfeat.features import FeatureConfig, FeatureMatrix, mfcc, mfe
 from spfeat.mel_filterbank import build_filterbank, hz_to_mel, mel_to_hz
 from spfeat.postprocess import cmvn, cmvnw
 from spfeat.preprocess import stack_frames
-from spfeat.spectrum import fft_magnitude, naive_dft
+from spfeat.spectrum import fft_magnitude
 
-from conftest import mel_edges, read_spfe, write_wav
+from conftest import dct_ii_ortho, mel_edges, naive_dft, read_spfe, write_wav
 
 
 def frames_of(rows, fs=16000):

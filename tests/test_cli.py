@@ -29,6 +29,7 @@ from spfeat.errors import (
     InvalidValueError,
     MissingInputError,
     OutputCollisionError,
+    OutputDirUnwritableError,
     UnknownKeyError,
 )
 from spfeat.features import FeatureConfig
@@ -144,6 +145,8 @@ class TestParseConfig:
         ["--num-filters", "300", "--fft-length", "512"],
         ["--low-freq", "5000", "--high-freq", "4000"],
         ["--fft-length", "1073741824"],
+        ["--postprocess", "cmvnw", "--win-size", "65537"],
+        ["--postprocess", "cmvnw_var", "--win-size", "1099511627777"],
     ])
     def test_bad_job_parameter_exits_2_once(self, fixture_dir, tmp_path, capsys, bad):
         out_dir = tmp_path / "out"
@@ -763,6 +766,10 @@ class TestRunExtract:
         assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {out_dir}: ")
         assert blocker.read_bytes() == b"not a directory\n"
         assert list(blocker.parent.iterdir()) == [blocker]
+        spec = parse_config(["--feature", "mfcc", "--input", str(fixture_dir),
+                             "--output-dir", str(out_dir)])
+        with pytest.raises(OutputDirUnwritableError, match=f"^{out_dir}: "):
+            run_extract(spec)
 
     @pytest.mark.parametrize("inputs", [["--input="], ["--input", ""], ["--input", "alpha.wav", ""]])
     def test_empty_input_path_exits_2(self, fixture_dir, tmp_path, capsys, monkeypatch, inputs):
@@ -800,3 +807,20 @@ def test_module_entry_point(tmp_path):
     assert result.returncode == 0
     assert result.stdout.strip().splitlines()[-1] == "OK=1 FAIL=0"
     assert (tmp_path / "out" / "clip.csv").exists()
+
+
+def test_huge_win_size_exits_2_without_allocating(tmp_path):
+    # it once reached np.pad and died with NumPy's raw allocation error, exit 1
+    wav = write_wav(tmp_path / "clip.wav", tone())
+    result = subprocess.run(
+        [sys.executable, "-m", "spfeat", "--feature", "mfcc", "--input", str(wav),
+         "--output-dir", str(tmp_path / "out"), "--postprocess", "cmvnw",
+         "--win-size", "1099511627777"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: win_size must be odd and in [3, 65535], got 1099511627777\n"
+    )
+    assert not (tmp_path / "out").exists()

@@ -52,7 +52,6 @@ VALID = {
     ),
     "cmvn": dict(features=FEATURES, variance_normalization=True),
     "cmvnw": dict(features=FEATURES, win_size=3, variance_normalization=True),
-    "dct_ii_ortho": dict(row=[1.0, 2.0, 3.0]),
     "extract_derivative": dict(features=FEATURES, window_half_width=2),
     "fft_magnitude": dict(frames=FRAMES, fft_length=512),
     "hz_to_mel": dict(f=1000.0),
@@ -61,7 +60,6 @@ VALID = {
     "mel_to_hz": dict(m=1000.0),
     "mfcc": dict(signal=SIGNAL, config=spfeat.FeatureConfig()),
     "mfe": dict(signal=SIGNAL, config=spfeat.FeatureConfig()),
-    "naive_dft": dict(frame=[1.0, 0.0, -1.0, 0.5]),
     "power_spectrum": dict(frames=FRAMES, fft_length=512),
     "pre_emphasis": dict(signal=SIGNAL, alpha=0.97),
     "read_wav": dict(path=WAV_NAME),

@@ -8,14 +8,13 @@ import pytest
 
 import spfeat.features as features
 from spfeat.audio_io import AudioBuffer
-from spfeat.errors import InvalidFftLengthError, InvalidParameterError
+from spfeat.errors import EmptyFeaturesError, InvalidFftLengthError, InvalidParameterError
 from spfeat.features import (
     ENERGY_FLOOR,
     MFE_BLOCK,
     FeatureConfig,
     FeatureMatrix,
     _dct_matrix,
-    dct_ii_ortho,
     extract_derivative,
     lmfe,
     mfcc,
@@ -25,7 +24,7 @@ from spfeat.mel_filterbank import build_filterbank
 from spfeat.preprocess import apply_window, pre_emphasis, stack_frames
 from spfeat.spectrum import ROW_BLOCK, power_spectrum
 
-from conftest import mel_edges
+from conftest import dct_ii_ortho, mel_edges
 
 
 BAD_CONFIG_FIELDS = [
@@ -114,6 +113,9 @@ def silence(fs=16000, seconds=1.0):
 
 
 class TestDct:
+    """The oracle dct_ii_ortho multiplies by mfcc's own basis, _dct_matrix;
+    here that basis meets the defining sum."""
+
     def test_constant_row(self):
         np.testing.assert_allclose(
             dct_ii_ortho([3, 3, 3, 3]), [6, 0, 0, 0], atol=1e-14
@@ -144,11 +146,6 @@ class TestDct:
         assert np.linalg.norm(dct_ii_ortho(row)) == pytest.approx(
             np.linalg.norm(row), abs=1e-12
         )
-
-    @pytest.mark.parametrize("row", [[], np.zeros(0)], ids=["list", "array"])
-    def test_empty_row(self, row):
-        with pytest.raises(InvalidParameterError, match="non-empty row"):
-            dct_ii_ortho(row)
 
 
 class TestMfe:
@@ -470,9 +467,16 @@ class TestExtractDerivative:
             rev.data[:, 6:12][::-1][2:-2], -fwd.data[:, 6:12][2:-2], atol=1e-12
         )
 
-    def test_invalid_half_width(self):
-        with pytest.raises(InvalidParameterError):
-            extract_derivative(FeatureMatrix(data=np.ones((4, 2))), 0)
+    @pytest.mark.parametrize("bad", [0, -1, 32768, 2**40])
+    def test_invalid_half_width(self, bad):
+        with pytest.raises(InvalidParameterError, match=r"must be in \[1, 32767\], got"):
+            extract_derivative(FeatureMatrix(data=np.ones((4, 2))), bad)
+
+    def test_widest_half_width(self):
+        # a window of 65,535 frames over 3, all but 3 of them edge padding
+        out = extract_derivative(np.arange(6.0).reshape(3, 2), 32767)
+        assert out.shape == (3, 6)
+        assert np.all(np.isfinite(out))
 
     @pytest.mark.parametrize("bad", [2.5, "2", True, None])
     def test_half_width_not_an_integer(self, bad):
@@ -513,17 +517,45 @@ class TestDerivativeBitwise:
         assert out.data.tobytes() == expected.tobytes()
 
 
+class TestDerivativeTakesArrays:
+    """extract_derivative takes a T x D array or a FeatureMatrix and returns
+    the same kind, as cmvn and cmvnw do."""
+
+    @pytest.mark.parametrize("num_frames, dims", [(1, 1), (7, 13), (1025, 39)])
+    def test_array_result_is_the_record_data(self, num_frames, dims):
+        data = np.random.default_rng(dims).normal(size=(num_frames, dims))
+        out = extract_derivative(data)
+        assert isinstance(out, np.ndarray)
+        assert out.tobytes() == extract_derivative(FeatureMatrix(data=data)).data.tobytes()
+
+    def test_record_keeps_frame_energies(self):
+        static = mfcc(noise_frames(20, seed=2))
+        out = extract_derivative(static)
+        assert isinstance(out, FeatureMatrix)
+        assert out.frame_energies is static.frame_energies
+
+    def test_list_data(self):
+        rows = [[1.0, 2.0], [3.0, 5.0], [4.0, 9.0]]
+        out = extract_derivative(rows)
+        assert out.tobytes() == extract_derivative(np.array(rows)).tobytes()
+        assert extract_derivative(FeatureMatrix(data=rows)).data.tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("features", [np.zeros((0, 3)), FeatureMatrix(data=np.zeros((0, 3)))],
+                             ids=["array", "record"])
+    def test_zero_frames(self, features):
+        with pytest.raises(EmptyFeaturesError, match="at least one frame"):
+            extract_derivative(features)
+
+
 @pytest.mark.parametrize("bad", [
-    np.ones((4, 2)),
     FeatureMatrix(data=np.ones(4)),
     FeatureMatrix(data=np.ones((4, 2, 1))),
-    FeatureMatrix(data=[[1.0, 2.0]]),
     FeatureMatrix(data=np.array([["a", "b"]])),
     FeatureMatrix(data=np.ones((4, 2), dtype=complex)),
     None,
-], ids=["ndarray", "1-D", "3-D", "list", "strings", "complex", "None"])
-def test_extract_derivative_rejects_non_feature_matrix(bad):
-    with pytest.raises(InvalidParameterError, match="FeatureMatrix of 2-D real data"):
+], ids=["1-D", "3-D", "strings", "complex", "None"])
+def test_extract_derivative_rejects_bad_features(bad):
+    with pytest.raises(InvalidParameterError, match=r"features \(a T x D matrix\) must be"):
         extract_derivative(bad)
 
 

@@ -119,10 +119,16 @@ class TestCmvnw:
         out = cmvnw(np.full((7, 2), 9.0), win_size=3)
         np.testing.assert_array_equal(out, 0.0)
 
-    @pytest.mark.parametrize("bad", [2, 4, 1, 0, -3, 3.0, 5.5, "5", True, None])
+    @pytest.mark.parametrize("bad", [2, 4, 1, 0, -3, 3.0, 5.5, "5", True, None,
+                                     65536, 65537, 2**40 + 1])
     def test_invalid_window(self, bad):
         with pytest.raises(InvalidWindowError):
             cmvnw(np.ones((5, 1)), win_size=bad)
+
+    def test_widest_window(self):
+        # 65,535 frames, all but three of them edge padding
+        out = cmvnw(np.ones((3, 2)), win_size=65535, variance_normalization=True)
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_empty(self):
         with pytest.raises(EmptyFeaturesError):

@@ -62,9 +62,11 @@ def test_integer_rule_has_one_home():
     ("shorter than frame length", {"_checks:require_fft_length"}),
     ("frames must be a 2-D int or float array", {"preprocess:require_frames"}),
     ("frame length/stride must round to", {"preprocess:stack_frames"}),
+    ("win_size must be odd and in", {"postprocess:validate_win_size"}),
+    ("window_half_width must be in", {"features:extract_derivative"}),
 ], ids=["power-of-two", "integer", "real-array", "finite", "positive", "alpha", "window",
         "sample-bound", "filter-count-low", "filter-count-high", "band", "fft-covers-frame",
-        "frame-data", "frame-bound"])
+        "frame-data", "frame-bound", "win-size-bound", "half-width-bound"])
 def test_message_raised_in_one_place(text, homes):
     sites = _sites(lambda n: isinstance(n, ast.Constant) and isinstance(n.value, str)
                    and text in n.value)
@@ -92,7 +94,7 @@ def _calls(name):
 
 @pytest.mark.parametrize("record, homes", [
     ("SpectrumMatrix", {"spectrum:_half_spectra"}),
-    ("FeatureMatrix", {"features:mfe", "features:extract_derivative"}),
+    ("FeatureMatrix", {"features:mfe"}),
     ("AudioBuffer", {"audio_io:read_wav"}),
 ])
 def test_record_built_in_one_place(record, homes):
@@ -115,9 +117,25 @@ def test_feature_matrix_holds_only_what_is_read():
     assert [f.name for f in dataclasses.fields(spfeat.FeatureMatrix)] == ["data", "frame_energies"]
 
 
-def test_cli_writers_take_arrays():
-    """_process_file hands the writers the feature array, so cli.py names no record."""
-    assert "FeatureMatrix" not in next(p for p in SOURCES if p.stem == "cli").read_text()
+@pytest.mark.parametrize("module", ["cli", "postprocess"])
+def test_only_features_knows_the_feature_record(module):
+    """Post-processing goes through features._as_array and _wrap, and the CLI
+    unwraps the extractor's record once, so neither module names it."""
+    assert "FeatureMatrix" not in next(p for p in SOURCES if p.stem == module).read_text()
+
+
+def test_oracles_live_in_the_tests():
+    """The DFT and DCT oracles are test code: no source names them, nor does __all__."""
+    names = ("naive_dft", "dct_ii_ortho")
+    assert not [p.stem for p in SOURCES if any(n in p.read_text() for n in names)]
+    assert not set(names) & set(spfeat.__all__)
+    assert len(spfeat.__all__) == 21
+
+
+def test_window_bound_has_one_home():
+    assigned = _sites(lambda n: isinstance(n, ast.Assign)
+                      and [getattr(t, "id", None) for t in n.targets] == ["MAX_WINDOW_FRAMES"])
+    assert assigned == {"_checks:<module>"}
 
 
 def test_mfe_block_loop_builds_no_record():
@@ -216,7 +234,7 @@ def test_run_extract_takes_only_the_spec():
 
 def test_empty_features_rule_has_one_home():
     raises = _sites(lambda n: isinstance(n, ast.Raise) and "at least one frame" in ast.unparse(n))
-    assert raises == {"postprocess:_as_array"}
+    assert raises == {"features:_as_array"}
 
 
 def test_features_states_no_filterbank_rule():

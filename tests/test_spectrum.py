@@ -8,9 +8,10 @@ from spfeat.spectrum import (
     ROW_BLOCK,
     fft_magnitude,
     log_power_spectrum,
-    naive_dft,
     power_spectrum,
 )
+
+from conftest import naive_dft
 
 
 def frames_of(rows, fs=1000):
