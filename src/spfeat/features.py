@@ -189,8 +189,8 @@ def _delta(data: np.ndarray, half_width: int) -> np.ndarray:
     # least-squares slope over a +-half_width window with edge replication
     num_frames = data.shape[0]
     denom = 2.0 * sum(n * n for n in range(1, half_width + 1))
-    # row t + half_width of the padded copy is frame t
-    ext = np.pad(data, ((half_width, half_width), (0, 0)), mode="edge")
+    # row t + half_width of the extended copy is frame t; the edge frames repeat
+    ext = np.concatenate([data[:1]] * half_width + [data] + [data[-1:]] * half_width)
     out = np.zeros_like(data)
     diff = np.empty_like(data)
     for n in range(1, half_width + 1):

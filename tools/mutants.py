@@ -6,12 +6,11 @@ Each mutant is one exact ``old -> new`` text edit of one file under
 copy, and its tests run against the copy.  The mutant is killed when
 they fail; the first failing test is printed.
 
-    python tools/mutants.py            # every mutant
-    python tools/mutants.py dct-scale  # only the named ones
+    python tools/mutants.py
 
 An edit whose ``old`` text does not occur exactly once is an error, not a
 skip: when a refactor moves the text, the edit is updated, never dropped.
-Before any mutant runs, the tests of the chosen mutants must pass on an
+Before any mutant runs, the tests of every mutant must pass on an
 unedited copy, so a kill always comes from the edit.  Exit status 0 means
 every mutant was killed.
 """
@@ -108,33 +107,29 @@ def run_tests(tests, src: Path) -> tuple[int, list[str]]:
     return result.returncode, failed
 
 
-def main(argv) -> int:
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        raise SystemExit(f"error: unknown mutants: {', '.join(sorted(unknown))}")
+def main() -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         clean = copy_src(Path(tmp) / "clean")
-        for mutant in chosen:  # every edit matches before any test runs
+        for mutant in MUTANTS:  # every edit matches before any test runs
             apply(mutant, copy_src(Path(tmp) / mutant.name))
-        tests = list(dict.fromkeys(t for m in chosen for t in m.tests))
+        tests = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
         code, failed = run_tests(tests, clean)
         if code != 0:
             raise SystemExit(f"error: the tests fail on unedited source (exit {code}): "
                              f"{', '.join(failed) or 'see pytest'}")
         survivors = 0
-        for mutant in chosen:
+        for mutant in MUTANTS:
             code, failed = run_tests(mutant.tests, Path(tmp) / mutant.name / "src")
             if code == 1 and failed:
                 print(f"killed    {mutant.name}: {failed[0]}")
             else:
                 survivors += 1
                 print(f"SURVIVED  {mutant.name}: pytest exit {code}, run {' '.join(mutant.tests)}")
-    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed "
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed "
           f"in {time.perf_counter() - start:.1f} s")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
