@@ -58,7 +58,12 @@ class AudioBuffer:
 
 def samples_to_real(raw) -> np.ndarray:
     """Convert 16-bit integer samples to float64 via v / 32768."""
-    return as_real_array("raw", raw, None) / _FULL_SCALE
+    x = as_real_array("raw", raw, None)
+    if np.may_share_memory(x, raw):  # the caller's float64 memory is never written
+        return x / _FULL_SCALE
+    # a fresh array: scaled in place, with the same bits, so one float64 array is made
+    x /= _FULL_SCALE
+    return x
 
 
 def read_wav(path) -> AudioBuffer:

@@ -12,6 +12,7 @@ is the machine-readable summary ``OK=<n> FAIL=<m>``.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import struct
 import sys
@@ -283,7 +284,37 @@ def run_extract(spec: JobSpec) -> Summary:
     return Summary(files_ok=ok, files_failed=failed)
 
 
+# mallopt(3) parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Stop glibc from handing each file's freed temporaries back to the kernel.
+
+    glibc's dynamic thresholds (mallopt(3)) return the freed top of the heap
+    once it exceeds twice the largest mmapped block freed so far, so every
+    file's multi-MB arrays fault in again for the next.  On a 19-file batch
+    of 2-20 s clips to CSV (glibc 2.36, x86-64) one run took 22,800 minor
+    faults, 4,500 of them start-up, and 7,500 with this policy.  32 MiB is
+    the ceiling of glibc's own mmap threshold on 64-bit and 64 MiB its 2x
+    trim rule there.  The trim threshold alone switches the dynamic mmap
+    threshold off (30,100 faults), so it follows only a successful first
+    call.  A policy of the process: the library never sets it.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     try:
         spec = parse_config(sys.argv[1:] if argv is None else argv)
         summary = run_extract(spec)

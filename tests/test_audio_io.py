@@ -1,5 +1,6 @@
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,39 @@ class TestSamplesToReal:
         assert np.all(np.abs(out) <= 1.0)
         for v, r in zip(out, raw):
             assert (abs(v) == 1.0) == (r == -32768)
+
+
+    def test_bit_identical_to_dividing_a_copy(self):
+        raw = np.arange(-32768, 32768, dtype=np.int16)
+        expected = raw.astype(np.float64) / 32768.0
+        assert samples_to_real(raw).tobytes() == expected.tobytes()
+
+    # NumPy may reuse the buffer of a temporary over 256 KiB on its own, so a
+    # size below that shows a second array where elision does not happen
+    @pytest.mark.parametrize("size", [10**4, 10**6])
+    def test_one_float64_array_at_peak(self, size):
+        raw = np.zeros(size, dtype=np.int16)
+        tracemalloc.start()
+        try:
+            samples_to_real(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float64 result alone is 8 bytes a sample; a second array would be 16
+        assert peak < 9 * raw.size
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.linspace(-1.0, 1.0, 9),
+        lambda: np.linspace(-1.0, 1.0, 18)[::2],
+        lambda: np.array([[100, 300], [-7, 8]], dtype=np.int16).mean(axis=1),  # read_wav's stereo mean
+    ], ids=["float64", "float64-view", "stereo-mean"])
+    def test_caller_memory_not_written(self, make):
+        raw = make()
+        before = raw.copy()
+        out = samples_to_real(raw)
+        assert raw.tobytes() == before.tobytes()
+        assert out.tobytes() == (before / 32768.0).tobytes()
+        assert not np.may_share_memory(out, raw)
 
 
 class TestReadWav:

@@ -809,6 +809,63 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "out" / "clip.csv").exists()
 
 
+class _FakeLibc:
+    """Stands in for ctypes.CDLL(None): records each mallopt call, returns result."""
+
+    def __init__(self, result):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return result
+
+        self.mallopt = mallopt
+
+
+class TestHeapPolicy:
+    MIB = 1 << 20
+
+    def _main_ok(self, fixture_dir, tmp_path, capsys):
+        argv = ["--feature", "mfcc", "--input", str(fixture_dir), "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1] == "OK=2 FAIL=0"
+
+    def _libc(self, monkeypatch, libc, platform="linux"):
+        loaded = []
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: loaded.append(name) or libc)
+        return loaded
+
+    def test_main_sets_mmap_then_trim_threshold(self, fixture_dir, tmp_path, capsys, monkeypatch):
+        libc = _FakeLibc(1)
+        assert self._libc(monkeypatch, libc) == []  # nothing loaded before main()
+        self._main_ok(fixture_dir, tmp_path, capsys)
+        # M_MMAP_THRESHOLD (-3) first: set alone, M_TRIM_THRESHOLD (-1) would
+        # switch glibc's dynamic mmap threshold off
+        assert libc.calls == [(-3, 32 * self.MIB), (-1, 64 * self.MIB)]
+        assert libc.mallopt.argtypes == (cli.ctypes.c_int, cli.ctypes.c_int)
+        assert libc.mallopt.restype is cli.ctypes.c_int
+
+    def test_no_trim_threshold_when_the_first_call_fails(self, fixture_dir, tmp_path, capsys,
+                                                         monkeypatch):
+        libc = _FakeLibc(0)
+        self._libc(monkeypatch, libc)
+        self._main_ok(fixture_dir, tmp_path, capsys)
+        assert libc.calls == [(-3, 32 * self.MIB)]
+
+    def test_libc_without_mallopt(self, fixture_dir, tmp_path, capsys, monkeypatch):
+        loaded = self._libc(monkeypatch, object())
+        self._main_ok(fixture_dir, tmp_path, capsys)
+        assert loaded == [None]
+
+    @pytest.mark.parametrize("platform", ["darwin", "win32"])
+    def test_nothing_loaded_off_linux(self, fixture_dir, tmp_path, capsys, monkeypatch, platform):
+        libc = _FakeLibc(1)
+        loaded = self._libc(monkeypatch, libc, platform)
+        self._main_ok(fixture_dir, tmp_path, capsys)
+        assert loaded == [] and libc.calls == []
+
+
 def test_huge_win_size_exits_2_without_allocating(tmp_path):
     # it once reached np.pad and died with NumPy's raw allocation error, exit 1
     wav = write_wav(tmp_path / "clip.wav", tone())

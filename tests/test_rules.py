@@ -254,3 +254,13 @@ def test_features_states_no_filterbank_rule():
                             and n.func.id not in ("require_filter_count", "require_band")
                             for a in n.args))
     assert not checked & {"num_filters", "low_freq", "high_freq"}
+
+
+def test_allocator_policy_only_in_the_cli():
+    """The library runs inside other people's processes, so only the CLI's
+    main() sets glibc's allocator policy."""
+    assert {p.stem for p in SOURCES if "ctypes" in p.read_text()} == {"cli"}
+    assert {p.stem for p in SOURCES if "mallopt" in p.read_text()} == {"cli"}
+    calls = _sites(lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                   and n.func.id == "_keep_freed_heap")
+    assert calls == {"cli:main"}

@@ -76,6 +76,50 @@ MUTANTS = (
         "        mean /= win_size * (1 - 1e-9)\n",
         ("tests/test_postprocess.py::TestCmvnw::test_bit_identical_to_loop",),
     ),
+    Mutant(
+        "hamming-coefficient", "preprocess.py",
+        '"hamming": (0.54, 0.46)',
+        '"hamming": (0.54 + 1e-4, 0.46)',
+        ("tests/test_preprocess.py::TestApplyWindow::test_hamming_five",),
+    ),
+    Mutant(
+        "mel-break", "mel_filterbank.py",
+        "_MEL_BREAK_HZ = 700.0\n",
+        "_MEL_BREAK_HZ = 700.0 + 1e-3\n",
+        ("tests/test_mel_filterbank.py::TestMelScale::test_break_frequency",),
+    ),
+    Mutant(
+        "frame-energies", "features.py",
+        "        frame_energies[start:start + count] = power.sum(axis=1)\n",
+        "        frame_energies[start:start + count] = power.sum(axis=1) * (1 + 1e-9)\n",
+        ("tests/test_oracle.py::test_pipeline_within_error_bound_of_reference",),
+    ),
+    Mutant(
+        "padded-frame", "preprocess.py",
+        "            num_frames = -((n - length) // -stride) + 1\n",
+        "            num_frames = -((n - length) // -stride) + 2\n",
+        ("tests/test_preprocess.py::TestStackFrames::test_padding_count_and_trailing_zeros",),
+    ),
+    Mutant(
+        # drops the low part of 10**k: the last printed digit goes wrong for some values
+        "csv-digit", "_csvfmt.py",
+        "    lo = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * pl\n",
+        "    lo = (((ah * hh - p) + ah * hl + al * hh) + al * hl)\n",
+        ("tests/test_cli.py::TestCsvMatchesRepr::test_random_bit_patterns",),
+    ),
+    Mutant(
+        "spfe-version", "cli.py",
+        "SPFE_VERSION = 1\n",
+        "SPFE_VERSION = 2\n",
+        ("tests/test_cli.py::TestWriteSpfe::test_size_formula",
+         "tests/test_cli.py::TestWriteSpfe::test_round_trip_bit_exact"),
+    ),
+    Mutant(
+        "summary-order", "cli.py",
+        'print(f"OK={ok} FAIL={failed}")',
+        'print(f"FAIL={failed} OK={ok}")',
+        ("tests/test_cli.py::TestRunExtract::test_directory_happy_path",),
+    ),
 )
 
 
