@@ -122,8 +122,10 @@ def mfe(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> Feature
     """Mel filterbank energies: triangular-filter dot products of the power spectrum.
 
     Frames go through window, power spectrum and filterbank MFE_BLOCK at a
-    time, so no T x L or T x (N/2 + 1) array is built; the result is the
-    same as running each stage over all frames at once.
+    time, so at most one block of windowed frames and one of power exist at
+    once, and the signal copy under the frames is released when the last
+    block is windowed.  The result is the same as running each stage over
+    all frames at once.
     """
     require_type("config", config, FeatureConfig)
     frames = stack_frames(
@@ -144,8 +146,11 @@ def mfe(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> Feature
     energies = np.empty((num_frames, config.num_filters))
     frame_energies = np.empty(num_frames)
     for start in range(0, num_frames, MFE_BLOCK):
-        block = frames[start:start + MFE_BLOCK]
-        power = power_spectrum(apply_window(block, config.window), config.fft_length).data
+        windowed = apply_window(frames[start:start + MFE_BLOCK], config.window)
+        if start + MFE_BLOCK >= num_frames:
+            del frames  # and the signal copy under it, before the last spectrum exists
+        power = power_spectrum(windowed, config.fft_length).data
+        del windowed
         count = len(power)
         frame_energies[start:start + count] = power.sum(axis=1)
         if count < MFE_BLOCK < num_frames:

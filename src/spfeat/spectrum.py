@@ -22,8 +22,11 @@ POWER_FLOOR = 1e-30
 # Frames per rfft call; it bounds the complex temporary to
 # ROW_BLOCK x (N/2 + 1).  On 5999 frames (L/N = 320/512, 512/512,
 # 1024/1024) 32 to 128 were fastest of 8 .. 1024, and whole-matrix calls
-# were 1.3-1.8x slower.
-ROW_BLOCK = 64
+# were 1.3-1.8x slower.  32, the smallest of those, keeps the block at
+# 131 KB for N = 512, so a single-block mfe call stays under glibc's heap
+# trim threshold (twice the largest freed block) and a loop of calls does
+# not fault its heap in again.  Each row's rfft is the same at any height.
+ROW_BLOCK = 32
 
 
 @dataclass(frozen=True)

@@ -316,6 +316,28 @@ class TestStreamedMfe:
             tracemalloc.stop()
         assert peak - base <= 2.5 * signal.samples.nbytes
 
+    def test_single_block_working_set(self):
+        # 4 s at 16 kHz whose last frame needs zero padding: one block of T = 400
+        # frames.  At the peak only the windowed block, its power spectrum, one
+        # complex rfft block and the two outputs coexist; the pre-emphasized,
+        # padded signal copy under the frames is gone before the spectrum exists
+        signal = AudioBuffer(np.random.default_rng(7).uniform(-1, 1, 64077), 16000)
+        config = FeatureConfig()
+        num_frames, length = stack_frames(signal).shape
+        assert num_frames == 400
+        bins = config.fft_length // 2 + 1
+        floats = num_frames * (length + bins + config.num_filters + 1) + ROW_BLOCK * bins * 2
+        mfe(signal, config)  # plans and filterbank cached outside the measurement
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mfe(signal, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the slack leaves no room for a signal copy
+        assert peak - base <= 8 * floats + signal.samples.nbytes // 4
+
 
 class TestLmfe:
     def test_silence_is_log_floor(self):

@@ -95,6 +95,26 @@ MUTANTS = (
         ("tests/test_oracle.py::test_pipeline_within_error_bound_of_reference",),
     ),
     Mutant(
+        "mfe-keeps-frames", "features.py",
+        "            del frames  # and the signal copy under it, before the last spectrum exists\n",
+        "            pass\n",
+        ("tests/test_features.py::TestStreamedMfe::test_single_block_working_set",),
+    ),
+    Mutant(
+        "pre-emphasis-alpha", "preprocess.py",
+        "    np.multiply(x[:-1], alpha, out=y[1:])\n",
+        "    np.multiply(x[:-1], alpha * (1 + 1e-6), out=y[1:])\n",
+        ("tests/test_preprocess.py::TestPreEmphasis::test_bitwise_equal_to_temporary_form",
+         "tests/test_oracle.py::test_pipeline_within_error_bound_of_reference"),
+    ),
+    Mutant(
+        "power-scale", "spectrum.py",
+        "        out *= 1.0 / fft_length\n",
+        "        out *= 1.0 / fft_length * (1 + 1e-9)\n",
+        ("tests/test_spectrum.py::TestBitwiseAgainstEarlierForms::test_power_and_magnitude",
+         "tests/test_oracle.py::test_pipeline_within_error_bound_of_reference"),
+    ),
+    Mutant(
         "padded-frame", "preprocess.py",
         "            num_frames = -((n - length) // -stride) + 1\n",
         "            num_frames = -((n - length) // -stride) + 2\n",
