@@ -1,6 +1,6 @@
 """Speech feature extraction: preprocessing, spectral features, normalization."""
 
-from .audio_io import AudioBuffer, read_wav, samples_to_real
+from .audio_io import AudioBuffer, read_wav
 from .features import (
     FeatureConfig,
     FeatureMatrix,
@@ -34,7 +34,6 @@ __all__ = [
     "power_spectrum",
     "pre_emphasis",
     "read_wav",
-    "samples_to_real",
     "stack_frames",
 ]
 

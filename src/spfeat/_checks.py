@@ -16,6 +16,12 @@ MAX_FFT_LENGTH = 65536
 # would outgrow any recording, and fail in allocation, not with a typed error.
 MAX_WINDOW_FRAMES = 65535
 
+# The largest |value| extract_derivative, cmvn and cmvnw take.  It is above every
+# feature of an in-bound signal (mfe at most 1.7e110, see audio_io._MAX_SAMPLE; a
+# delta never exceeds its input), and the variance of cmvn and cmvnw, a sum of T
+# squared deviations of at most (2 * 1e130)**2 = 4e260, stays finite for T < 4e47.
+MAX_FEATURE = 1e130
+
 
 def require_real(name: str, value, error=InvalidParameterError) -> None:
     """Raise error unless value is a real scalar (not a bool)."""

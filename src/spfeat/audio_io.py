@@ -21,21 +21,15 @@ from .errors import (
     UnsupportedFormatError,
 )
 
-# Fixed-point full scale for 16-bit samples.  Dividing by 32768 keeps the
-# mapping linear and exactly representable; +full-scale lands at 32767/32768.
-_FULL_SCALE = 32768.0
-
 # The data chunk size a streaming writer leaves when it cannot seek back.
 _STREAMED_SIZE = 0xFFFFFFFF
 
 # The largest |sample| a float buffer may hold.  Pre-emphasis keeps
 # |y| <= 2B, so a power bin is at most N * (2B)**2 and an mfe value (filter
-# weights <= 1 over N/2 + 1 bins) at most N**2 * (2B)**2; deltas stay within
-# that.  cmvn's variance squares centred values and sums them over T frames,
-# at most 64 * T * N**4 * B**4, which B = 1e50 keeps below float64's 1.8e308
-# for any N and T that fit in memory.  Integer dtypes cannot reach B.  The
-# pre-emphasized signal is an AudioBuffer too, so a signal whose pre-emphasis
-# exceeds B (|x| above B / 2 at worst) is rejected there.
+# weights <= 1 over N/2 + 1 bins) at most N**2 * (2B)**2, 1.7e110 at N = 65536:
+# within _checks.MAX_FEATURE, so no later stage can overflow.  Integer dtypes
+# cannot reach B.  The pre-emphasized signal is an AudioBuffer too, so a signal
+# whose pre-emphasis exceeds B (|x| above B / 2 at worst) is rejected there.
 _MAX_SAMPLE = 1e50
 
 
@@ -54,16 +48,6 @@ class AudioBuffer:
         samples = as_real_array("samples", self.samples, (1,), InvalidSignalError, _MAX_SAMPLE)
         # frozen: store the array form, so a list or tuple works downstream
         object.__setattr__(self, "samples", samples)
-
-
-def samples_to_real(raw) -> np.ndarray:
-    """Convert 16-bit integer samples to float64 via v / 32768."""
-    x = as_real_array("raw", raw, None)
-    if np.may_share_memory(x, raw):  # the caller's float64 memory is never written
-        return x / _FULL_SCALE
-    # a fresh array: scaled in place, with the same bits, so one float64 array is made
-    x /= _FULL_SCALE
-    return x
 
 
 def read_wav(path) -> AudioBuffer:
@@ -137,7 +121,12 @@ def read_wav(path) -> AudioBuffer:
     if not data:
         raise MalformedWavError("empty data chunk")
 
+    # v / 32768 maps int16 into [-1, 1); stereo folds to the pair mean, (l + r) / 65536.
+    # The pair sum is exact in float64 and both divisors are powers of two, so each
+    # sample has the bits of the mean taken first and then scaled
     raw = np.frombuffer(data, dtype="<i2")
+    samples = raw[0::channels].astype(np.float64)  # the only channel, or the left one
     if channels == 2:
-        raw = raw.reshape(-1, 2).mean(axis=1)
-    return AudioBuffer(samples=samples_to_real(raw), sampling_frequency=sample_rate)
+        samples += raw[1::2]
+    samples /= 32768.0 * channels
+    return AudioBuffer(samples=samples, sampling_frequency=sample_rate)

@@ -254,13 +254,14 @@ def run_extract(spec: JobSpec) -> Summary:
     if not files:
         raise MissingInputError("no .wav files found in input")
 
-    stems = {}
+    stems = {}  # casefolded: a.csv and A.csv are one file on a case-insensitive filesystem
     for path in files:
-        if path.stem in stems:
+        stem = path.stem.casefold()
+        if stem in stems:
             raise OutputCollisionError(
-                f"inputs {stems[path.stem]} and {path} share output stem {path.stem!r}"
+                f"inputs {stems[stem]} and {path} share output stem {stem!r}, ignoring case"
             )
-        stems[path.stem] = path
+        stems[stem] = path
 
     output_dir = Path(spec.output_dir)
     try:

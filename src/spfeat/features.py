@@ -8,8 +8,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._checks import (MAX_WINDOW_FRAMES, as_real_array, require_fft_length, require_flag,
-                      require_int, require_real, require_type)
+from ._checks import (MAX_FEATURE, MAX_WINDOW_FRAMES, as_real_array, require_fft_length,
+                      require_flag, require_int, require_real, require_type)
 from .audio_io import AudioBuffer
 from .errors import EmptyFeaturesError, InvalidParameterError
 from .mel_filterbank import build_filterbank, require_band, require_filter_count
@@ -43,7 +43,7 @@ class FeatureMatrix:
 def _as_array(features, name, ndims):
     """The data of a FeatureMatrix or a plain array, checked, with at least one frame."""
     data = features.data if isinstance(features, FeatureMatrix) else features
-    x = as_real_array(name, data, ndims)
+    x = as_real_array(name, data, ndims, bound=MAX_FEATURE)
     if x.shape[0] == 0:
         raise EmptyFeaturesError(f"{name} must have at least one frame")
     return x

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spfeat.audio_io import AudioBuffer, read_wav, samples_to_real
+from spfeat.audio_io import AudioBuffer, read_wav
 from spfeat.errors import (
     EmptySignalError,
     InvalidSignalError,
@@ -40,59 +40,81 @@ def with_size(blob, chunk_id, size):
     return blob[:at] + struct.pack("<I", size) + blob[at + 4:]
 
 
-class TestSamplesToReal:
-    def test_zero(self):
-        assert samples_to_real([0]).tolist() == [0.0]
-
-    def test_negative_full_scale(self):
-        assert samples_to_real([-32768]).tolist() == [-1.0]
-
-    def test_positive_full_scale(self):
-        # 32767/32768 is exact in binary floating point
-        assert samples_to_real([32767]).tolist() == [0.999969482421875]
-
-    def test_half_scale(self):
-        assert samples_to_real([16384, -16384]).tolist() == [0.5, -0.5]
-
-    @given(st.lists(st.integers(-32768, 32767)))
-    def test_magnitude_bound(self, raw):
-        out = samples_to_real(raw)
-        assert np.all(np.abs(out) <= 1.0)
-        for v, r in zip(out, raw):
-            assert (abs(v) == 1.0) == (r == -32768)
+# the edge values of int16 and their neighbours, for the stereo pairs
+EDGES = [-32768, -32767, -1, 0, 1, 32766, 32767]
 
 
-    def test_bit_identical_to_dividing_a_copy(self):
+class TestSampleValues:
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_every_int16_value_reads_as_v_over_32768(self, tmp_path, channels):
+        # in stereo both channels hold v, so the pair mean is v too
         raw = np.arange(-32768, 32768, dtype=np.int16)
-        expected = raw.astype(np.float64) / 32768.0
-        assert samples_to_real(raw).tobytes() == expected.tobytes()
+        wav = write_wav(tmp_path / "all.wav", np.repeat(raw, channels), channels=channels)
+        out = read_wav(wav).samples
+        assert out.dtype == np.float64
+        assert out.tobytes() == (raw.astype(np.float64) / 32768.0).tobytes()
+        assert out[[0, 32768, -1]].tolist() == [-1.0, 0.0, 0.999969482421875]
+        assert np.abs(out[1:]).max() < 1.0
 
-    # NumPy may reuse the buffer of a temporary over 256 KiB on its own, so a
-    # size below that shows a second array where elision does not happen
-    @pytest.mark.parametrize("size", [10**4, 10**6])
-    def test_one_float64_array_at_peak(self, size):
-        raw = np.zeros(size, dtype=np.int16)
+    @pytest.mark.parametrize("pairs", [
+        np.array([(a, b) for a in EDGES for b in EDGES]),
+        np.random.default_rng(7).integers(-32768, 32768, (100_000, 2)),
+    ], ids=["edge-pairs", "random"])
+    def test_stereo_is_the_exact_pair_mean(self, tmp_path, pairs):
+        path = write_wav(tmp_path / "st.wav", pairs, channels=2)
+        expected = pairs.astype(np.int16).mean(axis=1) / 32768
+        assert read_wav(path).samples.tobytes() == expected.tobytes()
+
+    # literal values, independent of NumPy's mean; 2**-16 is the stereo step
+    @pytest.mark.parametrize("pair, value", [
+        ((0, 0), 0.0),
+        ((1, -1), 0.0),
+        ((1, 0), 2**-16),
+        ((-32768, -32768), -1.0),
+        ((32767, 32767), 0.999969482421875),
+        ((32767, -32768), -(2**-16)),
+        ((16384, 16384), 0.5),
+        ((32767, 1), 0.5),
+    ], ids=["zero", "cancel", "one-step", "negative-full-scale", "positive-full-scale",
+            "opposite-full-scale", "half-scale", "uneven-half-scale"])
+    def test_stereo_value(self, tmp_path, pair, value):
+        path = write_wav(tmp_path / "one.wav", [pair], channels=2)
+        assert read_wav(path).samples.tolist() == [value]
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @given(raw=st.lists(st.integers(-32768, 32767), min_size=2, max_size=200))
+    @settings(max_examples=50)
+    def test_magnitude_bound(self, channels, raw, tmp_path_factory):
+        raw = raw[:len(raw) // channels * channels]
+        path = write_wav(tmp_path_factory.mktemp("mag") / "m.wav", raw, channels=channels)
+        out = read_wav(path).samples
+        assert np.all(np.abs(out) <= 1.0)
+        # only full negative scale in every channel reads as magnitude 1
+        frames = np.reshape(raw, (-1, channels))
+        assert ((np.abs(out) == 1.0) == (frames == -32768).all(axis=1)).all()
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_samples_are_a_fresh_writable_array(self, tmp_path, channels):
+        path = write_wav(tmp_path / "w.wav", np.arange(-8, 8), channels=channels)
+        first, second = read_wav(path).samples, read_wav(path).samples
+        assert first.flags.writeable and first.flags.c_contiguous
+        assert not np.may_share_memory(first, second)
+        first *= 2.0
+        assert read_wav(path).samples.tobytes() == second.tobytes()
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("frames", [10**4, 10**6])
+    def test_peak_is_the_file_and_one_float64_array(self, tmp_path, channels, frames):
+        raw = np.random.default_rng(frames).integers(-32768, 32768, frames * channels)
+        path = write_wav(tmp_path / "s.wav", raw, channels=channels)
         tracemalloc.start()
         try:
-            samples_to_real(raw)
+            read_wav(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the float64 result alone is 8 bytes a sample; a second array would be 16
-        assert peak < 9 * raw.size
-
-    @pytest.mark.parametrize("make", [
-        lambda: np.linspace(-1.0, 1.0, 9),
-        lambda: np.linspace(-1.0, 1.0, 18)[::2],
-        lambda: np.array([[100, 300], [-7, 8]], dtype=np.int16).mean(axis=1),  # read_wav's stereo mean
-    ], ids=["float64", "float64-view", "stereo-mean"])
-    def test_caller_memory_not_written(self, make):
-        raw = make()
-        before = raw.copy()
-        out = samples_to_real(raw)
-        assert raw.tobytes() == before.tobytes()
-        assert out.tobytes() == (before / 32768.0).tobytes()
-        assert not np.may_share_memory(out, raw)
+        # the file's bytes and the float64 result; a stereo mean made first would add 8 a frame
+        assert peak < path.stat().st_size + 8 * frames + (128 << 10)
 
 
 class TestReadWav:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import spfeat.cli as cli
 from spfeat import cmvn, extract_derivative, mfcc
 from spfeat._csvfmt import BLOCK_VALUES
-from spfeat.audio_io import AudioBuffer, read_wav, samples_to_real
+from spfeat.audio_io import AudioBuffer, read_wav
 from spfeat.cli import (
     JobSpec,
     main,
@@ -465,7 +465,7 @@ class TestCsvMatchesRepr:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pipeline_features(self, tmp_path, seed):
         # silent frames leave 1e-19 .. 1e-17 values after deltas and cmvn
-        signal = AudioBuffer(samples_to_real(_gapped_clip(seed)), 16000)
+        signal = AudioBuffer(_gapped_clip(seed) / 32768.0, 16000)
         out = cmvn(extract_derivative(mfcc(signal)), variance_normalization=True)
         assert np.abs(out.data[out.data != 0]).min() < 2e-18
         assert_csv_matches_repr(tmp_path, out.data)
@@ -698,6 +698,15 @@ class TestRunExtract:
         )
         with pytest.raises(OutputCollisionError):
             run_extract(spec)
+
+    def test_stems_differing_in_case_collide(self, tmp_path, capsys):
+        # a.csv and A.csv are one file on a case-insensitive filesystem
+        for name in ["x/a.wav", "y/A.WAV"]:
+            (tmp_path / name).parent.mkdir()
+            write_wav(tmp_path / name, tone())
+        err = _error_before_any_output(tmp_path, capsys, [
+            "--feature", "mfe", "--input", str(tmp_path / "x/a.wav"), str(tmp_path / "y/A.WAV")])
+        assert err.startswith("error: inputs ") and "share output stem 'a'" in err
 
     def test_scan_is_case_insensitive_and_sorted(self, tmp_path):
         wavs = tmp_path / "wavs"

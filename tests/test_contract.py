@@ -63,7 +63,6 @@ VALID = {
     "power_spectrum": dict(frames=FRAMES, fft_length=512),
     "pre_emphasis": dict(signal=SIGNAL, alpha=0.97),
     "read_wav": dict(path=WAV_NAME),
-    "samples_to_real": dict(raw=np.arange(-3, 4, dtype=np.int16)),
     "stack_frames": dict(
         signal=SIGNAL, frame_length_s=0.02, frame_stride_s=0.01, zero_padding=True
     ),

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spfeat._checks import MAX_FEATURE
 from spfeat.errors import EmptyFeaturesError, InvalidParameterError, InvalidWindowError
-from spfeat.features import FeatureMatrix
+from spfeat.features import FeatureMatrix, extract_derivative
 from spfeat.postprocess import FRAME_BLOCK, cmvn, cmvnw
 
 matrices = arrays(
@@ -234,3 +235,24 @@ def test_cmvn_bitwise_on_one_column_vector():
 def test_non_numeric_features_rejected(call):
     with pytest.raises(InvalidParameterError, match="array of reals"):
         call()
+
+
+BEYOND_THE_FEATURE_BOUND = [
+    lambda: cmvn(np.array([[1e300], [-1e300]]), variance_normalization=True),
+    lambda: extract_derivative(np.array([[1e308], [-1e308], [1e308]])),
+    lambda: cmvnw(np.full((5, 2), 1e200) * [[1], [-1], [1], [-1], [1]], 3, True),
+]
+
+
+@pytest.mark.parametrize("call", BEYOND_THE_FEATURE_BOUND, ids=["cmvn", "delta", "cmvnw"])
+def test_features_beyond_the_bound_rejected(call):
+    # each overflowed here once: cmvn gave [[0.], [-0.]], the delta +-inf
+    with pytest.raises(InvalidParameterError, match=r"must be <= 1e\+130"):
+        call()
+
+
+def test_features_at_the_bound_stay_finite():
+    x = np.array([[MAX_FEATURE], [-MAX_FEATURE], [MAX_FEATURE]])
+    np.testing.assert_allclose(cmvn(x[:2], True), [[1.0], [-1.0]], rtol=1e-15)
+    for out in (extract_derivative(x), cmvnw(x, 3, True)):
+        assert np.isfinite(out).all()

@@ -129,13 +129,22 @@ def test_oracles_live_in_the_tests():
     names = ("naive_dft", "dct_ii_ortho")
     assert not [p.stem for p in SOURCES if any(n in p.read_text() for n in names)]
     assert not set(names) & set(spfeat.__all__)
-    assert len(spfeat.__all__) == 21
+    assert len(spfeat.__all__) == 20
 
 
 def test_window_bound_has_one_home():
     assigned = _sites(lambda n: isinstance(n, ast.Assign)
                       and [getattr(t, "id", None) for t in n.targets] == ["MAX_WINDOW_FRAMES"])
     assert assigned == {"_checks:<module>"}
+
+
+def test_feature_bound_has_one_home_and_one_reader():
+    assigned = _sites(lambda n: isinstance(n, ast.Assign)
+                      and [getattr(t, "id", None) for t in n.targets] == ["MAX_FEATURE"])
+    assert assigned == {"_checks:<module>"}
+    read = _sites(lambda n: isinstance(n, ast.Name) and n.id == "MAX_FEATURE"
+                  and isinstance(n.ctx, ast.Load))
+    assert read == {"features:_as_array"}
 
 
 def test_mfe_block_loop_builds_no_record():

@@ -135,6 +135,18 @@ MUTANTS = (
          "tests/test_cli.py::TestWriteSpfe::test_round_trip_bit_exact"),
     ),
     Mutant(
+        "stereo-fold", "audio_io.py",
+        "    samples /= 32768.0 * channels\n",
+        "    samples /= 32768.0 * channels - (channels == 2)\n",
+        ("tests/test_audio_io.py::TestSampleValues::test_stereo_is_the_exact_pair_mean",),
+    ),
+    Mutant(
+        "feature-bound", "_checks.py",
+        "MAX_FEATURE = 1e130\n",
+        "MAX_FEATURE = 1e300\n",
+        ("tests/test_postprocess.py::test_features_beyond_the_bound_rejected",),
+    ),
+    Mutant(
         "summary-order", "cli.py",
         'print(f"OK={ok} FAIL={failed}")',
         'print(f"FAIL={failed} OK={ok}")',
