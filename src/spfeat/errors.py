@@ -45,11 +45,11 @@ class InvalidFftLengthError(InvalidParameterError):
 
 # mel filterbank
 
-class NegativeFrequencyError(SpfeatError):
+class NegativeFrequencyError(InvalidParameterError):
     """Frequencies on the Hz axis must be nonnegative."""
 
 
-class NegativeMelError(SpfeatError):
+class NegativeMelError(InvalidParameterError):
     """Values on the mel axis must be nonnegative."""
 
 

@@ -19,8 +19,10 @@ from .spectrum import power_spectrum
 # Floor for filterbank energies and frame energies, avoids log(0).
 ENERGY_FLOOR = float(np.finfo(np.float64).eps)
 
-# Frames per block in mfe; window and spectrum exist one block at a time.  It fixes the
-# filterbank product's row blocks, so the output bits; spectrum.ROW_BLOCK sizes rfft only.
+# Most frames per block in mfe; window and spectrum exist one block at a time.  T frames
+# go in ceil(T / MFE_BLOCK) equal blocks, so past one block each filterbank product has
+# 512 to 1024 rows, tall enough to round as the whole-matrix product does (README,
+# Memory).  It fixes the output bits; spectrum.ROW_BLOCK sizes rfft only.
 MFE_BLOCK = 1024
 
 
@@ -121,11 +123,11 @@ def _dct_matrix(size: int) -> np.ndarray:
 def mfe(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> FeatureMatrix:
     """Mel filterbank energies: triangular-filter dot products of the power spectrum.
 
-    Frames go through window, power spectrum and filterbank MFE_BLOCK at a
-    time, so at most one block of windowed frames and one of power exist at
-    once, and the signal copy under the frames is released when the last
-    block is windowed.  The result is the same as running each stage over
-    all frames at once.
+    Frames go through window, power spectrum and filterbank in ceil(T /
+    MFE_BLOCK) blocks of equal height (within one frame), so at most one
+    block of windowed frames and one of power exist at once, and the signal
+    copy under the frames is released when the last block is windowed.  The
+    result is the same as running each stage over all frames at once.
     """
     require_type("config", config, FeatureConfig)
     frames = stack_frames(
@@ -145,19 +147,16 @@ def mfe(signal: AudioBuffer, config: FeatureConfig = FeatureConfig()) -> Feature
     num_frames = len(frames)
     energies = np.empty((num_frames, config.num_filters))
     frame_energies = np.empty(num_frames)
-    for start in range(0, num_frames, MFE_BLOCK):
-        windowed = apply_window(frames[start:start + MFE_BLOCK], config.window)
-        if start + MFE_BLOCK >= num_frames:
+    num_blocks = -(-num_frames // MFE_BLOCK)
+    for b in range(num_blocks):
+        rows = slice(num_frames * b // num_blocks, num_frames * (b + 1) // num_blocks)
+        windowed = apply_window(frames[rows], config.window)
+        if rows.stop == num_frames:
             del frames  # and the signal copy under it, before the last spectrum exists
         power = power_spectrum(windowed, config.fft_length).data
         del windowed
-        count = len(power)
-        frame_energies[start:start + count] = power.sum(axis=1)
-        if count < MFE_BLOCK < num_frames:
-            # OpenBLAS takes another path for short matrices; a zero-filled
-            # full-height block keeps these rows bit-identical to the others
-            power = np.concatenate([power, np.zeros((MFE_BLOCK - count, power.shape[1]))])
-        energies[start:start + count] = (power @ bank.T)[:count]
+        frame_energies[rows] = power.sum(axis=1)
+        energies[rows] = power @ bank.T
         del power  # freed before the next block's window and spectrum exist
     np.maximum(energies, ENERGY_FLOOR, out=energies)
     np.maximum(frame_energies, ENERGY_FLOOR, out=frame_energies)

@@ -14,8 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ._checks import (MAX_FFT_LENGTH, require_flag, require_int, require_positive, require_real,
-                      require_type)
+from ._checks import MAX_FFT_LENGTH, require_flag, require_positive, require_real, require_type
 from .audio_io import AudioBuffer
 from .errors import EmptySignalError, FrameTooLongError, InvalidParameterError
 
@@ -91,10 +90,7 @@ def stack_frames(
     x = np.ascontiguousarray(signal.samples)
     n = len(x)
     if zero_padding:
-        if n <= length:
-            num_frames = 1
-        else:
-            num_frames = -((n - length) // -stride) + 1
+        num_frames = max(1, -((n - length) // -stride) + 1)
         padded_len = length + (num_frames - 1) * stride
         if padded_len > n:
             x = np.concatenate([x, np.zeros(padded_len - n)])
@@ -110,18 +106,6 @@ def stack_frames(
     frames = np.ndarray((num_frames, length), x.dtype, x, strides=(stride * step, step))
     frames.flags.writeable = False
     return frames
-
-
-def window_function(kind: str, length: int) -> np.ndarray:
-    """Window samples of the given length; all types give w[0] = 1 for L = 1.
-
-    Cached per (kind, length) and shared between callers, so read-only.
-    """
-    require_window(kind)
-    require_int("length", length)
-    if length < 1:
-        raise InvalidParameterError(f"window length must be >= 1, got {length}")
-    return _window(kind, length)
 
 
 @functools.lru_cache(maxsize=32)
@@ -141,6 +125,12 @@ def _window(kind: str, length: int) -> np.ndarray:
 
 
 def apply_window(frames: np.ndarray, window: str = "rectangular") -> np.ndarray:
-    """Multiply every row of a T x L frames array elementwise by the chosen window."""
+    """Multiply every row of a T x L frames array elementwise by the chosen window.
+
+    The window of each (kind, L) is cached and shared; all kinds give w[0] = 1 for L = 1.
+    """
     require_frames(frames)
-    return frames * window_function(window, frames.shape[1])
+    require_window(window)
+    if frames.shape[1] < 1:
+        raise InvalidParameterError(f"frames must be at least 1 sample wide, got {frames.shape}")
+    return frames * _window(window, frames.shape[1])

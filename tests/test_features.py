@@ -259,8 +259,14 @@ class TestStreamedMfe:
         assert out.data.tobytes() == expected.data.tobytes()
         assert out.frame_energies.tobytes() == expected.frame_energies.tobytes()
 
-    def test_block_is_whole_row_blocks(self):
-        assert MFE_BLOCK % ROW_BLOCK == 0
+    @pytest.mark.parametrize("start", [1, ROW_BLOCK - 1, ROW_BLOCK + 1, 513, 683])
+    def test_power_rows_do_not_depend_on_the_block_start(self, start):
+        # equal blocks start at rows such as 513 or 683, off the ROW_BLOCK grid
+        # of one whole-matrix power_spectrum call
+        frames = stack_frames(noise_frames(2051, seed=start))
+        whole = power_spectrum(frames, 512).data
+        block = power_spectrum(frames[start:start + MFE_BLOCK], 512).data
+        assert block.tobytes() == whole[start:start + MFE_BLOCK].tobytes()
 
     @pytest.mark.parametrize("num_frames", BLOCK_EDGES)
     @pytest.mark.parametrize("window", ["rectangular", "hamming", "hanning"])
@@ -276,6 +282,15 @@ class TestStreamedMfe:
     def test_bitwise_at_other_fft_lengths(self, num_frames, fs, fft_length):
         signal = noise_frames(num_frames, fs=fs, seed=fft_length + num_frames)
         self.assert_same_bytes(signal, FeatureConfig(window="hamming", fft_length=fft_length))
+
+    @pytest.mark.parametrize("num_frames", [MFE_BLOCK + 1, 2 * MFE_BLOCK + 3])
+    @pytest.mark.parametrize("num_filters", [13, 26])
+    @pytest.mark.parametrize("fs, fft_length", [(16000, 512), (8000, 256), (16000, 1024)])
+    def test_bitwise_with_fewer_filters(self, num_frames, num_filters, fs, fft_length):
+        # 13 filters are the most sensitive to the height of the filterbank product
+        signal = noise_frames(num_frames, fs=fs, seed=num_filters + num_frames)
+        config = FeatureConfig(window="hamming", num_filters=num_filters, fft_length=fft_length)
+        self.assert_same_bytes(signal, config)
 
     @pytest.mark.parametrize("zero_padding", [True, False])
     def test_bitwise_on_150_s(self, zero_padding):
@@ -301,6 +316,8 @@ class TestStreamedMfe:
         for name, rows in calls.items():
             assert len(rows) == blocks, name
             assert sum(rows) == num_frames, name
+            if num_frames > MFE_BLOCK:  # equal blocks, no short tail: 1025 is [512, 513]
+                assert min(rows) >= MFE_BLOCK // 2, (name, rows)
 
     @pytest.mark.parametrize("extra", [0, 77])
     def test_peak_memory_about_twice_the_signal(self, extra):

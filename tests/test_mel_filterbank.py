@@ -56,6 +56,13 @@ class TestMelScale:
         with pytest.raises(NegativeMelError):
             mel_to_hz(-1)
 
+    @pytest.mark.parametrize("convert", [hz_to_mel, mel_to_hz])
+    @pytest.mark.parametrize("value", [-1.0, [1.0, -1e-300], -np.inf])
+    def test_every_bad_value_is_an_invalid_parameter(self, convert, value):
+        # as mel_to_hz(1e6) is: one except clause catches every rejected value
+        with pytest.raises(InvalidParameterError):
+            convert(value)
+
     @pytest.mark.parametrize("m", [1e6, [1.0, 1e6], 1e300])
     def test_overflowing_mel_raises(self, m):
         with pytest.raises(InvalidParameterError, match="overflows"):
