@@ -1,10 +1,10 @@
 """Signal conditioning before spectral analysis.
 
-Pre-emphasis, frame stacking, and windowing.  All operations are pure:
-they never mutate their inputs.  Frames are a read-only strided view of
-the signal (of a contiguous copy when the signal is strided, of a
-zero-padded one when the last frame is partial), so overlapping frames
-never duplicate samples.
+Pre-emphasis, frame stacking, and windowing, all pure.  Frames are a
+read-only strided view of the signal (of a contiguous copy when the
+signal is strided, of a zero-padded one when the last frame is
+partial), so overlapping frames never duplicate samples.  Every stage
+that takes frames takes them through require_frames, the one frame rule.
 """
 
 from __future__ import annotations
@@ -30,10 +30,14 @@ def require_alpha(alpha) -> None:
         raise InvalidParameterError(f"alpha must be in [0, 1), got {alpha}")
 
 
-def require_frames(frames) -> None:
-    """Raise InvalidParameterError unless frames is a 2-D int/uint/float array."""
-    if not (isinstance(frames, np.ndarray) and frames.ndim == 2 and frames.dtype.kind in "iuf"):
-        raise InvalidParameterError(f"frames must be a 2-D int or float array, got {frames!r:.80}")
+def require_frames(frames) -> np.ndarray:
+    """frames as float64, from a 2-D int/uint/float array at least 1 sample wide, else
+    InvalidParameterError; the values are not checked.  A float64 input is not copied."""
+    kind_ok = isinstance(frames, np.ndarray) and frames.ndim == 2 and frames.dtype.kind in "iuf"
+    if not kind_ok or frames.shape[1] < 1:
+        raise InvalidParameterError(
+            f"frames must be a 2-D int or float array at least 1 sample wide, got {frames!r:.80}")
+    return frames.astype(np.float64, copy=False)
 
 
 def require_window(kind) -> None:
@@ -96,9 +100,7 @@ def stack_frames(
             x = np.concatenate([x, np.zeros(padded_len - n)])
     else:
         if n < length:
-            raise FrameTooLongError(
-                f"signal of {n} samples shorter than frame of {length}"
-            )
+            raise FrameTooLongError(f"signal of {n} samples shorter than frame of {length}")
         num_frames = (n - length) // stride + 1
 
     # NumPy checks that the strided view stays inside x's buffer
@@ -125,12 +127,10 @@ def _window(kind: str, length: int) -> np.ndarray:
 
 
 def apply_window(frames: np.ndarray, window: str = "rectangular") -> np.ndarray:
-    """Multiply every row of a T x L frames array elementwise by the chosen window.
+    """Multiply every row of a T x L frames array (see require_frames) elementwise by the window.
 
     The window of each (kind, L) is cached and shared; all kinds give w[0] = 1 for L = 1.
     """
-    require_frames(frames)
+    frames = require_frames(frames)
     require_window(window)
-    if frames.shape[1] < 1:
-        raise InvalidParameterError(f"frames must be at least 1 sample wide, got {frames.shape}")
     return frames * _window(window, frames.shape[1])

@@ -1,10 +1,10 @@
 """Per-frame frequency-domain transforms.
 
 Spectra come from ``np.fft.rfft``, as in SpeechPy's ``fft_spectrum``.
-Frames go through it ROW_BLOCK at a time, zero-padded to the FFT length
-N by rfft itself, and each block's half spectrum is written straight
-into the T x (N/2 + 1) result, so the complex temporary never grows
-with the number of frames.
+Frames pass ``preprocess.require_frames``, which hands them over as
+float64, and go through rfft ROW_BLOCK at a time, zero-padded to N by
+rfft itself; each block's half spectrum is written straight into the
+T x (N/2 + 1) result, so the complex temporary never grows with T.
 """
 
 from __future__ import annotations
@@ -37,16 +37,15 @@ class SpectrumMatrix:
 
 
 def _half_spectra(frames: np.ndarray, fft_length: int, fill) -> SpectrumMatrix:
-    """Check the T x L frames and N, then run rfft over each block of frames
-    and let ``fill(X, out_rows)`` write the block's rows of the T x (N/2 + 1)
+    """Check the T x L frames and N, then run rfft over each block of the float64
+    frames and let ``fill(X, out_rows)`` write the block's rows of the T x (N/2 + 1)
     spectrum from its half spectrum X."""
-    require_frames(frames)
+    frames = require_frames(frames)
     require_fft_length(fft_length, frames.shape[1])
-    data = frames.astype(np.float64, copy=False)  # rfft keeps float32 as complex64
     out = np.empty((len(frames), fft_length // 2 + 1))
     for s in range(0, len(frames), ROW_BLOCK):
         rows = slice(s, s + ROW_BLOCK)
-        fill(np.fft.rfft(data[rows], n=fft_length, axis=1), out[rows])
+        fill(np.fft.rfft(frames[rows], n=fft_length, axis=1), out[rows])
     return SpectrumMatrix(data=out)
 
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from spfeat.audio_io import AudioBuffer
 from spfeat.errors import EmptySignalError, FrameTooLongError, InvalidParameterError
-from spfeat.preprocess import _window, apply_window, pre_emphasis, stack_frames
+from spfeat.preprocess import _window, apply_window, pre_emphasis, require_frames, stack_frames
+from spfeat.spectrum import fft_magnitude, log_power_spectrum, power_spectrum
 
 
 def buf(samples, fs=1000):
@@ -206,10 +207,16 @@ class TestApplyWindow:
         with pytest.raises(InvalidParameterError, match="unknown window"):
             apply_window(np.ones((1, 8)), kind)
 
-    @pytest.mark.parametrize("kind", ["rectangular", "hamming", "hanning"])
-    def test_zero_width_frames(self, kind):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("stage", [
+        lambda f: apply_window(f, "rectangular"), lambda f: apply_window(f, "hamming"),
+        lambda f: apply_window(f, "hanning"), lambda f: power_spectrum(f, 8),
+        lambda f: fft_magnitude(f, 8), lambda f: log_power_spectrum(f, 8),
+    ], ids=["rectangular", "hamming", "hanning", "power_spectrum", "fft_magnitude",
+            "log_power_spectrum"])
+    def test_zero_width_frames(self, stage):
         with pytest.raises(InvalidParameterError, match="at least 1 sample wide"):
-            apply_window(np.ones((3, 0)), kind)
+            stage(np.ones((3, 0)))
 
     @pytest.mark.parametrize("kind", ["rectangular", "hamming", "hanning"])
     def test_hand_built_frames(self, kind):
@@ -217,6 +224,19 @@ class TestApplyWindow:
         out = apply_window(frames, kind)
         assert out.shape == (3, 5)
         assert out.tobytes() == np.tile(window_uncached(kind, 5), (3, 1)).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.float32])
+def test_require_frames_widens_to_float64(dtype):
+    frames = np.arange(12, dtype=dtype).reshape(3, 4)
+    out = require_frames(frames)
+    assert out.dtype == np.float64
+    assert out.tolist() == frames.tolist()
+
+
+def test_require_frames_does_not_copy_float64_frames():
+    frames = stack_frames(buf(np.arange(50.0)), 0.01, 0.005)
+    assert require_frames(frames) is frames
 
 
 def window_of(kind, length):

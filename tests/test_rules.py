@@ -61,12 +61,13 @@ def test_integer_rule_has_one_home():
     ("] must satisfy 0 <= low < high", {"mel_filterbank:require_band"}),
     ("shorter than frame length", {"_checks:require_fft_length"}),
     ("frames must be a 2-D int or float array", {"preprocess:require_frames"}),
+    ("at least 1 sample wide", {"preprocess:require_frames"}),
     ("frame length/stride must round to", {"preprocess:stack_frames"}),
     ("win_size must be odd and in", {"postprocess:validate_win_size"}),
     ("window_half_width must be in", {"features:extract_derivative"}),
 ], ids=["power-of-two", "integer", "real-array", "finite", "positive", "alpha", "window",
         "sample-bound", "filter-count-low", "filter-count-high", "band", "fft-covers-frame",
-        "frame-data", "frame-bound", "win-size-bound", "half-width-bound"])
+        "frame-data", "frame-width", "frame-bound", "win-size-bound", "half-width-bound"])
 def test_message_raised_in_one_place(text, homes):
     sites = _sites(lambda n: isinstance(n, ast.Constant) and isinstance(n.value, str)
                    and text in n.value)

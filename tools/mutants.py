@@ -122,6 +122,12 @@ MUTANTS = (
          "tests/test_oracle.py::test_pipeline_within_error_bound_of_reference"),
     ),
     Mutant(
+        "frame-width", "preprocess.py",
+        "    if not kind_ok or frames.shape[1] < 1:\n",
+        "    if not kind_ok or frames.shape[1] < 0:\n",
+        ("tests/test_preprocess.py::TestApplyWindow::test_zero_width_frames",),
+    ),
+    Mutant(
         "padded-frame", "preprocess.py",
         "        num_frames = max(1, -((n - length) // -stride) + 1)\n",
         "        num_frames = max(1, -((n - length) // -stride) + 2)\n",
