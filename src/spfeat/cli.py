@@ -26,8 +26,6 @@ from . import postprocess
 from ._csvfmt import csv_chunks
 from .audio_io import read_wav
 from .errors import (
-    CliError,
-    InvalidParameterError,
     InvalidValueError,
     MissingInputError,
     OutputCollisionError,
@@ -171,15 +169,14 @@ def parse_config(argv) -> JobSpec:
         raise MissingInputError("no input files given")
     if "" in args.input:  # Path("") would be the current directory
         raise MissingInputError("empty input path")
-    try:
-        if args.postprocess.startswith("cmvnw"):
-            postprocess.validate_win_size(args.win_size)
-        config = FeatureConfig(**{src.name: getattr(args, name) for name, (src, _)
-                                  in _OPTIONS.items() if isinstance(src, Field)})
-        if args.feature == "mfcc":
-            config.validate_dc_elimination()
-    except InvalidParameterError as exc:
-        raise InvalidValueError(str(exc)) from exc
+    if not args.output_dir:  # and so would the output directory
+        raise InvalidValueError("empty output directory")
+    if args.postprocess.startswith("cmvnw"):
+        postprocess.validate_win_size(args.win_size)
+    config = FeatureConfig(**{src.name: getattr(args, name) for name, (src, _)
+                              in _OPTIONS.items() if isinstance(src, Field)})
+    if args.feature == "mfcc":
+        config.validate_dc_elimination()
     return JobSpec(config=config, **{name: getattr(args, name) for name, (src, _)
                                      in _OPTIONS.items() if not isinstance(src, Field)})
 
@@ -193,7 +190,7 @@ def _replacing(path):
     removed and ``path`` is left as it was: missing, or an earlier output.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    tmp = path.with_name(f".{os.urandom(6).hex()}.tmp")  # fits wherever path's name fits
     fh = open(tmp, "xb")  # not mkstemp: keep the usual mode, not 0600
     try:
         with fh:
@@ -319,7 +316,7 @@ def main(argv=None) -> int:
     try:
         spec = parse_config(sys.argv[1:] if argv is None else argv)
         summary = run_extract(spec)
-    except CliError as exc:
+    except SpfeatError as exc:  # raised outside the per-file loop: the job stops
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if summary.files_failed == 0 else 1

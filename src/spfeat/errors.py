@@ -1,4 +1,8 @@
-"""Exception types raised by the library and the CLI."""
+"""Exception types raised by the library and the CLI.
+
+In the CLI's per-file loop an error is its file's FAIL line; one raised
+outside the loop stops the job, and cli.main exits 2 on it.
+"""
 
 
 class SpfeatError(Exception):
@@ -73,25 +77,21 @@ class InvalidWindowError(InvalidParameterError):
 
 # cli
 
-class CliError(SpfeatError):
-    """Base class for job-level CLI errors (exit code 2)."""
-
-
-class UnknownKeyError(CliError):
+class UnknownKeyError(SpfeatError):
     """Config file contains a key that is not a recognized option."""
 
 
-class InvalidValueError(CliError):
-    """Option value cannot be parsed or violates a constraint."""
+class InvalidValueError(SpfeatError):
+    """Flags or config file cannot be parsed, or an option value is missing or empty."""
 
 
-class MissingInputError(CliError):
-    """No input files were given."""
+class MissingInputError(SpfeatError):
+    """No input files were given, an input path is empty, or a directory holds no WAVs."""
 
 
-class OutputDirUnwritableError(CliError):
+class OutputDirUnwritableError(SpfeatError):
     """Output directory cannot be created or written."""
 
 
-class OutputCollisionError(CliError):
+class OutputCollisionError(SpfeatError):
     """Two inputs would produce the same output file name."""

@@ -24,12 +24,13 @@ from spfeat.cli import (
     write_spfe,
 )
 from spfeat.errors import (
-    CliError,
     InvalidParameterError,
     InvalidValueError,
+    InvalidWindowError,
     MissingInputError,
     OutputCollisionError,
     OutputDirUnwritableError,
+    SpfeatError,
     UnknownKeyError,
 )
 from spfeat.features import FeatureConfig
@@ -81,7 +82,7 @@ class TestParseConfig:
         assert spec.config.frame_length_s == 0.025
 
     def test_even_win_size_rejected(self):
-        with pytest.raises(InvalidValueError):
+        with pytest.raises(InvalidWindowError):
             parse_config(
                 ["--feature", "mfcc", "--input", "a.wav",
                  "--postprocess", "cmvnw", "--win-size", "4"]
@@ -108,7 +109,7 @@ class TestParseConfig:
             parse_config(["--input", "a.wav"])
 
     def test_cepstral_exceeds_filters(self):
-        with pytest.raises(InvalidValueError):
+        with pytest.raises(InvalidParameterError):
             parse_config(
                 ["--feature", "mfcc", "--input", "a.wav",
                  "--num-cepstral", "41", "--num-filters", "40"]
@@ -195,7 +196,7 @@ class TestParseConfig:
 def _outcome(argv):
     try:
         return parse_config(argv)
-    except CliError:
+    except SpfeatError:
         return "rejected"
 
 
@@ -792,6 +793,30 @@ class TestRunExtract:
         assert not out_dir.exists()
         with pytest.raises(MissingInputError):
             parse_config(["--feature", "mfe", *inputs])
+
+    @pytest.mark.parametrize("given", [["--output-dir="], ["--output-dir", ""], "config"])
+    def test_empty_output_dir_exits_2(self, fixture_dir, tmp_path, capsys, monkeypatch, given):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)  # "" must not stand for the current directory
+        if given == "config":
+            (tmp_path / "job.cfg").write_text("output_dir =\n")
+            given = ["--config", str(tmp_path / "job.cfg")]
+        code = main(["--feature", "mfe", "--input", str(fixture_dir), *given])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: empty output directory\n"
+        assert list(work.iterdir()) == []
+
+    def test_long_stem_gets_its_output(self, tmp_path, capsys):
+        # a 244-byte output name fits the usual 255-byte limit, and so must its temporary
+        stem = "s" * 240
+        wav = write_wav(tmp_path / f"{stem}.wav", tone())
+        out_dir = tmp_path / "out"
+        assert main(["--feature", "mfe", "--input", str(wav), "--output-dir", str(out_dir)]) == 0
+        assert capsys.readouterr().out == "OK=1 FAIL=0\n"
+        assert [p.name for p in out_dir.iterdir()] == [f"{stem}.csv"]
 
     def test_input_directory_without_wavs_exits_2(self, tmp_path, capsys):
         clips = tmp_path / "clips"

@@ -274,3 +274,15 @@ def test_allocator_policy_only_in_the_cli():
     calls = _sites(lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
                    and n.func.id == "_keep_freed_heap")
     assert calls == {"cli:main"}
+
+
+def test_exit_2_rule_has_one_home():
+    """An error raised outside run_extract's per-file loop stops the job, so
+    main alone maps every SpfeatError to exit 2: no class marks job errors,
+    and parse_config lets the library's typed errors through as they are."""
+    assert not [p.stem for p in SOURCES if "CliError" in p.read_text()]
+    returns_2 = _sites(lambda n: isinstance(n, ast.Return) and isinstance(n.value, ast.Constant)
+                       and n.value.value == 2)
+    assert returns_2 == {"cli:main"}
+    parse_config = _named(_tree("cli"), ast.FunctionDef, "parse_config")
+    assert not [n for n in ast.walk(parse_config) if isinstance(n, ast.Try)]

@@ -15,7 +15,9 @@ The first form imports ``spfeat`` from DIR (default: this checkout's
 * the output files, stdout, exit code and stderr (temporary paths
   replaced) of ``python -m spfeat`` with the ``corpus_csv`` and
   ``longform_spfe`` flag sets of ``perfbench/run.py`` on the inputs of
-  seeds 1 and 2.
+  seeds 1 and 2;
+* the exit code, stdout and stderr of ``python -m spfeat`` for each job
+  error of JOB_ERRORS, which stops the job before any file is read.
 
 Signals and files come from ``perfbench/inputs.py``, imported read-only.
 ``--compare`` lists every case that differs or exists on one side only and
@@ -48,6 +50,43 @@ T_GRID = (1, 31, 32, 33, 63, 64, 1023, 1024, 1025, 2051)
 RATES = ((16000, 512), (8000, 256), (16000, 1024), (48000, 2048))
 WINDOWS = ("rectangular", "hamming", "hanning")
 SEEDS = (1, 2)
+
+# Arguments of ``python -m spfeat`` run in a directory that holds in/ (two WAVs),
+# case/x/a.wav and case/y/A.WAV, nowav/ (a text file only), a plain file named
+# blocker, and the config files unknown-key.cfg and bad-value.cfg.
+_JOB = ("--feature", "mfcc", "--input", "in", "--output-dir", "out")
+# the rows of test_bad_job_parameter_exits_2_once in tests/test_cli.py
+BAD_PARAMETERS = (
+    ("--pre-emphasis", "1.5"),
+    ("--frame-length", "5"),
+    ("--postprocess", "cmvnw", "--win-size", "4"),
+    ("--fft-length", "500"),
+    ("--dc-elimination", "--num-cepstral", "40"),
+    ("--num-filters", "0"),
+    ("--num-cepstral", "0"),
+    ("--num-filters", "1152921504606846976"),
+    ("--num-filters", "300", "--fft-length", "512"),
+    ("--low-freq", "5000", "--high-freq", "4000"),
+    ("--fft-length", "1073741824"),
+    ("--postprocess", "cmvnw", "--win-size", "65537"),
+    ("--postprocess", "cmvnw_var", "--win-size", "1099511627777"),
+)
+JOB_ERRORS = {
+    "bad-flag-value": (*_JOB, "--num-filters", "many"),
+    "unknown-choice": (*_JOB, "--window", "square"),
+    **{"bad-parameter " + " ".join(bad): (*_JOB, *bad) for bad in BAD_PARAMETERS},
+    "no-feature": ("--input", "in", "--output-dir", "out"),
+    "no-input": ("--feature", "mfcc", "--output-dir", "out"),
+    "missing-config": (*_JOB, "--config", "absent.cfg"),
+    "config-unknown-key": (*_JOB, "--config", "unknown-key.cfg"),
+    "config-bad-value": (*_JOB, "--config", "bad-value.cfg"),
+    "output-dir-is-a-file": ("--feature", "mfcc", "--input", "in", "--output-dir", "blocker"),
+    "output-dir-below-a-file": ("--feature", "mfcc", "--input", "in",
+                                "--output-dir", "blocker/sub"),
+    "stems-differ-in-case": ("--feature", "mfcc", "--input", "case/x/a.wav", "case/y/A.WAV",
+                             "--output-dir", "out"),
+    "no-wavs": ("--feature", "mfcc", "--input", "nowav", "--output-dir", "out"),
+}
 
 
 def digest(value) -> str:
@@ -144,6 +183,28 @@ def cli_cases(src: Path, tmp: Path, cases: dict) -> None:
                 cases[f"{key}/out/{path.name}"] = digest(path.read_bytes())
 
 
+def job_error_cases(src: Path, tmp: Path, cases: dict) -> None:
+    env = {**os.environ, **bench.CHILD_ENV, "PYTHONPATH": str(src)}
+    work = tmp / "job-errors"
+    clips = [inputs.make_clip(1, 7000 + i, f"job{i}", 1.0, 16000) for i in range(2)]
+    bench.write_inputs(work / "in", clips, [])
+    for name in ("x/a.wav", "y/A.WAV"):
+        (work / "case" / name).parent.mkdir(parents=True)
+        (work / "case" / name).write_bytes(inputs.wav_bytes(clips[0].samples, 16000))
+    (work / "nowav").mkdir()
+    (work / "nowav" / "notes.txt").write_text("not audio\n")
+    (work / "blocker").write_text("not a directory\n")
+    (work / "unknown-key.cfg").write_text("# job\nbogus = 1\n")
+    (work / "bad-value.cfg").write_text("# job\nnum_filters = many\n")
+    for name, args in JOB_ERRORS.items():
+        result = subprocess.run([sys.executable, "-m", "spfeat", *args],
+                                cwd=work, env=env, capture_output=True, text=True)
+        key = f"cli/job-error/{name}"
+        cases[f"{key}/exit"] = str(result.returncode)
+        cases[f"{key}/stdout"] = digest(result.stdout.replace(str(work), "<work>"))
+        cases[f"{key}/stderr"] = digest(result.stderr.replace(str(work), "<work>"))
+
+
 def write_manifest(src: Path, out: Path) -> int:
     sys.path.insert(0, str(src))
     import spfeat
@@ -156,6 +217,7 @@ def write_manifest(src: Path, out: Path) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         read_wav_cases(spfeat, Path(tmp), cases)
         cli_cases(src, Path(tmp), cases)
+        job_error_cases(src, Path(tmp), cases)
     out.write_text(json.dumps({"numpy": np.__version__, "python": sys.version.split()[0],
                                "cases": cases}, indent=1, sort_keys=True) + "\n")
     print(f"{len(cases)} cases from {src} written to {out} "

@@ -1,7 +1,8 @@
 """Page faults and wall time per pass of a data-loader loop over the library.
 
-One warm pass, then PASSES passes of ``mfcc -> extract_derivative ->
-cmvn(variance_normalization=True)`` over the 48 ``loader_short`` clips of
+One warm pass, then PASSES passes of the bench's ``loader_item`` (``mfcc ->
+extract_derivative -> cmvn(variance_normalization=True)``, from
+``perfbench/child.py``) over the 48 ``loader_short`` clips of
 ``perfbench/inputs.loader_pool(SEED)``, in this process, as a training data
 loader calls the library.  For each pass it prints the minor page faults
 (``resource.getrusage``) and the wall time:
@@ -27,6 +28,7 @@ sys.path[:0] = [str(REPO / "src"), str(REPO / "perfbench")]
 
 import inputs  # noqa: E402  (perfbench/inputs.py, read only)
 import spfeat  # noqa: E402
+from child import loader_config, loader_item  # noqa: E402  (perfbench/child.py, read only)
 
 
 def minor_faults() -> int:
@@ -43,25 +45,19 @@ def main(argv=None) -> int:
 
     work = [
         (spfeat.AudioBuffer(clip.mono(), clip.sampling_frequency),
-         spfeat.FeatureConfig(window="hamming",
-                              fft_length=inputs.LOADER_FFT_LENGTH[clip.sampling_frequency]))
+         loader_config(inputs.LOADER_FFT_LENGTH[clip.sampling_frequency]))
         for clip in inputs.loader_pool(args.seed)
     ]
-
-    def item(signal, config):
-        static = spfeat.mfcc(signal, config)
-        final = spfeat.cmvn(spfeat.extract_derivative(static), variance_normalization=True)
-        return final.data, static.frame_energies
 
     # Filterbanks, DCT bases, windows and FFT plans are cached from here on.  The
     # warm pass's features stay alive, as in the bench's loader child, which checks
     # every later call against them; with nothing alive, glibc keeps the freed heap.
-    warm = [item(signal, config) for signal, config in work]  # noqa: F841
+    warm = [loader_item(signal, config) for signal, config in work]  # noqa: F841
     faults, walls = [], []
     for i in range(args.passes):
         before, start = minor_faults(), perf_counter()
         for signal, config in work:
-            features = item(signal, config)  # noqa: F841  (held until the next call)
+            features = loader_item(signal, config)  # noqa: F841  (held until the next call)
         walls.append((perf_counter() - start) * 1e3)
         faults.append(minor_faults() - before)
         print(f"pass {i + 1}: {faults[-1]} minor faults, {walls[-1]:.1f} ms")

@@ -160,6 +160,19 @@ MUTANTS = (
         ("tests/test_postprocess.py::test_features_beyond_the_bound_rejected",),
     ),
     Mutant(
+        # the one class main caught through the old re-wrap: library errors escape uncaught
+        "job-errors", "cli.py",
+        "    except SpfeatError as exc:  # raised outside the per-file loop",
+        "    except InvalidValueError as exc:  # raised outside the per-file loop",
+        ("tests/test_cli.py::TestParseConfig::test_bad_job_parameter_exits_2_once",),
+    ),
+    Mutant(
+        "output-dir-empty", "cli.py",
+        "    if not args.output_dir:",
+        "    if False:",
+        ("tests/test_cli.py::TestRunExtract::test_empty_output_dir_exits_2",),
+    ),
+    Mutant(
         "summary-order", "cli.py",
         'print(f"OK={ok} FAIL={failed}")',
         'print(f"FAIL={failed} OK={ok}")',
